@@ -152,8 +152,10 @@ struct ABComparison {
   TrialStats a;        // side-A rate: work_units / elapsed, per trial
   TrialStats b;        // side-B rate
   TrialStats speedup;  // per-trial-pair ratio rate_a / rate_b
-  // The honesty gate: A's slow quartile still beats B's fast quartile.
-  bool NonOverlappingIqr() const { return a.q25 > b.q75; }
+  // The honesty gate: the two sides' IQRs are disjoint — one side's slow
+  // quartile still beats the other's fast quartile. The medians say which
+  // side wins.
+  bool NonOverlappingIqr() const { return a.q25 > b.q75 || b.q25 > a.q75; }
 };
 
 // Runs `trials` interleaved pairs (one untimed warmup pair first). Each

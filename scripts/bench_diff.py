@@ -19,7 +19,7 @@ as the harness that produced the numbers:
     failures, because cross-machine medians are not comparable at that
     resolution.
   * --require-speedup ROW=MIN enforces an absolute floor on a row's median
-    speedup (e.g. hv_memory_speedup=1.2): the claim the row exists to
+    speedup (e.g. hv_vs_bn=0.38): the claim the row exists to
     defend, independent of any baseline.
 
 Exit status: 0 clean (warnings allowed), 1 on any failure, 2 on bad input.

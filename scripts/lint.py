@@ -75,7 +75,7 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
                 routes those through the per-query arena / reused scratch
                 (common/arena.h, RewriteScratch, AssignmentSet) instead.
                 References/pointers to containers are fine. Cold paths
-                (setup, the retained legacy oracle) suppress with
+                (setup, index construction) suppress with
                 lint:hot-alloc-ok on the declaration or the line above;
                 whole cold files go in HOT_ALLOC_ALLOWLIST.
 
@@ -88,6 +88,15 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
                 out). The one legitimate raw install (the engine
                 constructor, before the cache exists) carries
                 lint:publish-hook-ok.
+
+  temp-path     In tests/, no `::testing::TempDir()` — neither
+                `TempDir() + "name"` nor a TempDir() directory joined with a
+                fixed name later. gtest_discover_tests runs every test as
+                its own process and `ctest -j` runs them in parallel, so a
+                fixed scratch name lets two tests clobber each other's files
+                (a flaky Tier-1). Use UniqueTempPath (tests/test_util.h),
+                which names the test and the process; the helper itself
+                carries lint:temp-path-ok.
 
 Usage: scripts/lint.py [root]   (root defaults to the repo checkout)
 Exit status 0 when clean, 1 with one "file:line: [rule] message" per finding.
@@ -134,6 +143,9 @@ ENV_IO_ALLOWLIST = {"src/storage/env.cc"}
 ENV_IO_RE = re.compile(
     r"std::(?:ofstream|ifstream|fstream)\b|\bfopen\s*\(|"
     r"(?:\bstd)?::rename\s*\(|(?:\bstd)?::remove\s*\(|\bunlink\s*\(")
+
+TEMP_PATH_DIRS = ("tests/",)
+TEMP_PATH_RE = re.compile(r"\bTempDir\s*\(\s*\)")
 
 HOT_ALLOC_DIRS = ("src/exec/", "src/rewrite/", "src/vfilter/")
 # Cold-path files exempt wholesale (none today; prefer line suppressions so
@@ -376,6 +388,13 @@ def lint_file(rel, raw, code, unordered_names, findings):
                                  "fsync ordering, the crash-point exploration "
                                  "and the storage metering all see it (or "
                                  "lint:env-io-ok)"))
+        if rel.startswith(TEMP_PATH_DIRS) and TEMP_PATH_RE.search(line):
+            if not suppressed(lineno, "temp-path"):
+                findings.append((rel, lineno, "temp-path",
+                                 "fixed scratch path under TempDir(); "
+                                 "parallel test processes share it — use "
+                                 "UniqueTempPath (tests/test_util.h) or "
+                                 "lint:temp-path-ok"))
         if (rel.startswith(CATALOG_PIN_DIRS)
                 and rel not in CATALOG_PIN_ALLOWLIST
                 and CATALOG_PIN_RE.search(line)):

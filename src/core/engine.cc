@@ -305,8 +305,8 @@ Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
 
 std::vector<Result<Engine::Answer>> Engine::BatchAnswer(
     std::span<const TreePattern> queries, AnswerStrategy strategy,
-    int num_threads, const QueryLimits& limits, MemoryMode mode) const {
-  return pipeline_->BatchAnswer(queries, strategy, num_threads, limits, mode);
+    int num_threads, const QueryLimits& limits) const {
+  return pipeline_->BatchAnswer(queries, strategy, num_threads, limits);
 }
 
 Result<std::vector<MaterializedAnswer>> Engine::AnswerQueryXml(
@@ -328,10 +328,16 @@ Result<std::vector<MaterializedAnswer>> Engine::AnswerQueryXml(
   std::shared_ptr<const QueryPlan> plan;
   XVR_ASSIGN_OR_RETURN(plan, pipeline_->Plan(query, strategy, &ctx));
   // Plan pinned the snapshot it planned against into ctx; materialize the
-  // answer from the same snapshot's fragments.
+  // answer from the same snapshot's fragments, through the same scratch,
+  // hoisted compensation, limits and trace as the serving Execute().
+  RewriteOptions options;
+  options.limits = ctx.limits;
+  options.trace = &ctx.trace;
+  options.scratch = &ctx.rewrite_scratch;
+  options.compensation = &plan->compensation;
   return AnswerWithViewsXml(plan->query, plan->selection,
                             ctx.catalog->fragments, *doc_.fst(),
-                            doc_.labels());
+                            doc_.labels(), /*stats=*/nullptr, options);
 }
 
 Status Engine::SaveState(const std::string& path) const {

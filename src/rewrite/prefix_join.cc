@@ -7,13 +7,12 @@ bool StepMatches(const PathStep& step, LabelId label) {
   return step.label == kWildcardLabel || step.label == label;
 }
 
-// `Sink` provides size() and Emit(const PathAssignment&); instantiated for
-// the vector-of-vectors form and the flat AssignmentSet form so both share
-// one enumeration (identical order and cap semantics by construction).
-template <typename Sink>
+// Enumerates assignments depth-first, appending each complete one to `out`
+// until it holds `cap` rows (0 = unlimited).
 void Recurse(const std::vector<PathStep>& steps,
              const std::vector<LabelId>& labels, size_t step_index,
-             int min_pos, size_t cap, PathAssignment* current, Sink* out) {
+             int min_pos, size_t cap, PathAssignment* current,
+             AssignmentSet* out) {
   if (cap > 0 && out->size() >= cap) {
     return;
   }
@@ -32,7 +31,7 @@ void Recurse(const std::vector<PathStep>& steps,
       // Last step must be the final position.
       if (pos == static_cast<int>(labels.size()) - 1) {
         current->push_back(pos);
-        out->Emit(*current);
+        out->Append(*current);
         current->pop_back();
       }
       if (steps[step_index].axis == Axis::kChild) {
@@ -51,35 +50,7 @@ void Recurse(const std::vector<PathStep>& steps,
   }
 }
 
-struct VectorSink {
-  std::vector<PathAssignment>* out;
-  size_t size() const { return out->size(); }
-  void Emit(const PathAssignment& a) { out->push_back(a); }
-};
-
-struct FlatSink {
-  AssignmentSet* out;
-  size_t size() const { return out->size(); }
-  void Emit(const PathAssignment& a) { out->Append(a); }
-};
-
 }  // namespace
-
-std::vector<PathAssignment> MatchPathOnLabels(
-    const PathPattern& pattern, const std::vector<LabelId>& labels,
-    size_t max_assignments) {
-  std::vector<PathAssignment> out;
-  if (pattern.empty() || labels.empty()) {
-    return out;
-  }
-  PathAssignment current;
-  VectorSink sink{&out};
-  // The first step: position 0 when anchored with '/', any when '//' — the
-  // recursion starts with min_pos 0 and the kChild early-return enforces
-  // pinning.
-  Recurse(pattern.steps(), labels, 0, 0, max_assignments, &current, &sink);
-  return out;
-}
 
 void MatchPathOnLabels(const PathPattern& pattern,
                        const std::vector<LabelId>& labels,
@@ -90,8 +61,10 @@ void MatchPathOnLabels(const PathPattern& pattern,
   }
   PathAssignment* current = out->mutable_scratch();
   current->clear();
-  FlatSink sink{out};
-  Recurse(pattern.steps(), labels, 0, 0, max_assignments, current, &sink);
+  // The first step: position 0 when anchored with '/', any when '//' — the
+  // recursion starts with min_pos 0 and the kChild early-return enforces
+  // pinning.
+  Recurse(pattern.steps(), labels, 0, 0, max_assignments, current, out);
 }
 
 namespace {

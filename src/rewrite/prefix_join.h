@@ -55,14 +55,9 @@ class AssignmentSet {
 };
 
 // All assignments of `pattern` onto `labels`, capped at `max_assignments`
-// (0 = unlimited). Empty result means the label path does not match.
-std::vector<PathAssignment> MatchPathOnLabels(const PathPattern& pattern,
-                                              const std::vector<LabelId>& labels,
-                                              size_t max_assignments = 256);
-
-// Allocation-reusing form: fills `out` (Reset to the pattern's step count)
-// instead of materializing a vector of vectors. Same enumeration order and
-// cap semantics as the vector form.
+// (0 = unlimited), into `out` (Reset to the pattern's step count; its
+// buffers keep their capacity across calls). An empty result means the
+// label path does not match.
 void MatchPathOnLabels(const PathPattern& pattern,
                        const std::vector<LabelId>& labels,
                        size_t max_assignments, AssignmentSet* out);

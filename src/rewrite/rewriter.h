@@ -76,13 +76,9 @@ struct RewriteOptions {
   // When non-null, receives one span per pipeline phase: "execute.refine",
   // "execute.join", "execute.extract".
   Trace* trace = nullptr;
-  // When non-null, the rewrite runs its arena/scratch implementation:
-  // signatures as (root code, prefix length) references into the arena,
-  // sorted prefix tables instead of hashed key strings, reused epoched
-  // memos. When null, the retained legacy-heap implementation runs
-  // (per-call containers and key strings) — it is the differential oracle
-  // and the bench harness's A/B baseline. Both produce identical answers,
-  // stats and error behavior.
+  // Per-query memory reused across calls (the ExecutionContext's, on the
+  // serving path). When null, the call builds and drops a local one — same
+  // answers, stats and errors, only without the warm buffers.
   RewriteScratch* scratch = nullptr;
   // Plan-hoisted compensating patterns (refinement/anchor-path per view,
   // extraction for the primary), built once by the planner so plan-cache

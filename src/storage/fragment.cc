@@ -225,112 +225,7 @@ bool FlatFragment::NodeMatches(const TreePattern& pattern,
   return true;
 }
 
-// --- legacy walk (per-call memo + explicit stacks) --------------------------
-
-bool FlatFragment::Embeds(const TreePattern& pattern,
-                          TreePattern::NodeIndex pn, int32_t fn,
-                          std::vector<int8_t>* memo) const {
-  int8_t& cell =
-      (*memo)[static_cast<size_t>(pn) * nodes_.size() +
-              static_cast<size_t>(fn)];
-  if (cell != -1) {
-    return cell != 0;
-  }
-  cell = 0;
-  if (!NodeMatches(pattern, pn, fn)) {
-    return false;
-  }
-  for (TreePattern::NodeIndex pc : pattern.node(pn).children) {
-    bool found = false;
-    if (pattern.axis(pc) == Axis::kChild) {
-      for (int32_t fc : children(fn)) {
-        if (Embeds(pattern, pc, fc, memo)) {
-          found = true;
-          break;
-        }
-      }
-    } else {
-      // Any proper descendant.
-      const std::span<const int32_t> kids = children(fn);
-      std::vector<int32_t> stack(kids.begin(), kids.end());
-      while (!stack.empty() && !found) {
-        const int32_t fd = stack.back();
-        stack.pop_back();
-        if (Embeds(pattern, pc, fd, memo)) {
-          found = true;
-          break;
-        }
-        for (int32_t c : children(fd)) {
-          stack.push_back(c);
-        }
-      }
-    }
-    if (!found) {
-      return false;
-    }
-  }
-  cell = 1;
-  return true;
-}
-
-bool FlatFragment::MatchesAnchored(const TreePattern& pattern) const {
-  if (pattern.empty() || nodes_.empty()) {
-    return false;
-  }
-  std::vector<int8_t> memo(pattern.size() * nodes_.size(), -1);
-  return Embeds(pattern, pattern.root(), 0, &memo);
-}
-
-std::vector<int32_t> FlatFragment::EvaluateAnchored(
-    const TreePattern& pattern) const {
-  std::vector<int32_t> out;
-  if (pattern.empty() || nodes_.empty()) {
-    return out;
-  }
-  std::vector<int8_t> memo(pattern.size() * nodes_.size(), -1);
-  if (!Embeds(pattern, pattern.root(), 0, &memo)) {
-    return out;
-  }
-  // Walk the root-to-answer chain propagating the feasible image set.
-  std::vector<int32_t> reach = {0};
-  const auto chain = pattern.PathFromRoot(pattern.answer());
-  for (size_t ci = 1; ci < chain.size(); ++ci) {
-    const TreePattern::NodeIndex pc = chain[ci];
-    std::vector<int32_t> next;
-    std::vector<bool> seen(nodes_.size(), false);
-    for (int32_t fx : reach) {
-      if (pattern.axis(pc) == Axis::kChild) {
-        for (int32_t fc : children(fx)) {
-          if (!seen[static_cast<size_t>(fc)] &&
-              Embeds(pattern, pc, fc, &memo)) {
-            seen[static_cast<size_t>(fc)] = true;
-            next.push_back(fc);
-          }
-        }
-      } else {
-        const std::span<const int32_t> kids = children(fx);
-        std::vector<int32_t> stack(kids.begin(), kids.end());
-        while (!stack.empty()) {
-          const int32_t fd = stack.back();
-          stack.pop_back();
-          if (!seen[static_cast<size_t>(fd)] &&
-              Embeds(pattern, pc, fd, &memo)) {
-            seen[static_cast<size_t>(fd)] = true;
-            next.push_back(fd);
-          }
-          for (int32_t c : children(fd)) {
-            stack.push_back(c);
-          }
-        }
-      }
-    }
-    reach = std::move(next);
-  }
-  std::sort(reach.begin(), reach.end());
-  return reach;
-}
-
-// --- serving walk (epoched memo, subtree-range descendant scans) ------------
+// --- anchored walk (epoched memo, subtree-range descendant scans) -----------
 
 namespace {
 
@@ -447,6 +342,19 @@ void FlatFragment::EvaluateAnchored(const TreePattern& pattern,
   }
   std::sort(scratch->reach.begin(), scratch->reach.end());
   out->insert(out->end(), scratch->reach.begin(), scratch->reach.end());
+}
+
+bool FlatFragment::MatchesAnchored(const TreePattern& pattern) const {
+  FragmentScratch scratch;
+  return MatchesAnchored(pattern, &scratch);
+}
+
+std::vector<int32_t> FlatFragment::EvaluateAnchored(
+    const TreePattern& pattern) const {
+  FragmentScratch scratch;
+  std::vector<int32_t> out;
+  EvaluateAnchored(pattern, &scratch, &out);
+  return out;
 }
 
 // --- serialization ----------------------------------------------------------

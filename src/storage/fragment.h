@@ -110,12 +110,10 @@ class FlatFragment {
   // fragment root (the view's answer node). Axes are interpreted inside the
   // fragment.
   //
-  // Each operation has two implementations. The scratch-taking form is the
-  // serving path: epoched memo, no allocation, descendant axes as linear
-  // subtree scans. The scratch-free form is the retained legacy walk
-  // (per-call memo + explicit stacks); it is the differential-testing
-  // oracle and the A/B baseline for the bench harness, and remains correct
-  // for one-off callers.
+  // The walk uses an epoched memo and scans descendant axes as linear
+  // subtree ranges. The scratch-taking form reuses the caller's scratch
+  // (no allocation once warm); the scratch-free form is for one-off
+  // callers and builds a local scratch per call.
 
   // True iff the pattern embeds with pattern-root -> fragment-root.
   [[nodiscard]] bool MatchesAnchored(const TreePattern& pattern) const;
@@ -158,11 +156,7 @@ class FlatFragment {
  private:
   bool NodeMatches(const TreePattern& pattern, TreePattern::NodeIndex pn,
                    int32_t fn) const;
-  // Legacy walk: memo is a flat [pattern.size() x nodes_.size()] array of
-  // {-1,0,1}, allocated (and filled) per call.
-  bool Embeds(const TreePattern& pattern, TreePattern::NodeIndex pn,
-              int32_t fn, std::vector<int8_t>* memo) const;
-  // Serving walk: epoch-validated memo owned by `scratch`.
+  // Anchored walk: epoch-validated memo owned by `scratch`.
   bool EmbedsEpoch(const TreePattern& pattern, TreePattern::NodeIndex pn,
                    int32_t fn, FragmentScratch* scratch) const;
   // Rebuilds child_index_/children ranges/subtree_end from nodes_[].parent,

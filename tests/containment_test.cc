@@ -101,9 +101,13 @@ TEST_F(ContainmentTest, CanonicalRootAnchor) {
 // Property sweep: homomorphism containment matches canonical containment on
 // random patterns without wildcard-above-descendant interactions (where hom
 // is complete), and is never a false positive anywhere.
+//
+// gtest prints a parameter struct's raw bytes into the test name, so the
+// struct has no padding: the flag is a full word (0 or 1), not a bool, and
+// the name is the same in every build and every run.
 struct SweepParams {
   uint64_t seed;
-  bool allow_wildcards;
+  uint64_t allow_wildcards;
 };
 
 class ContainmentSweep : public ::testing::TestWithParam<SweepParams> {};
@@ -113,7 +117,7 @@ TEST_P(ContainmentSweep, HomSoundAgainstCanonical) {
   const std::vector<LabelId> labels = {dict.Intern("a"), dict.Intern("b"),
                                        dict.Intern("c")};
   Rng rng(GetParam().seed);
-  const bool wild = GetParam().allow_wildcards;
+  const bool wild = GetParam().allow_wildcards != 0;
 
   auto random_pattern = [&]() {
     TreePattern p;

@@ -550,6 +550,11 @@ TEST(EngineExtensions, AnswerQueryXmlFromFragmentsMatchesBase) {
   EXPECT_EQ((*from_views)[0].code, (*from_base)[0].code);
   EXPECT_EQ((*from_views)[0].xml, (*from_base)[0].xml);
   EXPECT_EQ((*from_views)[0].xml, "<d/>");
+  // The XML path answers through the same rewrite as AnswerQuery.
+  auto hv = engine.AnswerQuery(*q, AnswerStrategy::kHeuristicFiltered);
+  ASSERT_TRUE(hv.ok()) << hv.status();
+  ASSERT_EQ(hv->codes.size(), 1u);
+  EXPECT_EQ((*from_views)[0].code, hv->codes[0]);
 }
 
 TEST(EngineExtensions, AnswerQueryXmlCarriesTextAndAttributes) {

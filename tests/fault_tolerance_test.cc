@@ -10,6 +10,7 @@
 #include "core/engine.h"
 #include "storage/kv_store.h"
 #include "xml/xml_parser.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -295,7 +296,7 @@ TEST_F(FaultToleranceTest, BatchDeadlineFailsEverySlotCleanly) {
 class PersistenceFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "xvr_fault_tolerance_state.bin";
+    path_ = UniqueTempPath("fault_tolerance_state.bin");
     auto doc = ParseXml("<r><s><p/><q/></s><s><p/></s><t><u/></t></r>");
     ASSERT_TRUE(doc.ok());
     Engine engine(std::move(doc).value());
@@ -424,7 +425,7 @@ TEST_F(PersistenceFaultTest, TornImageIsRejectedByChecksum) {
 }
 
 TEST(FileUtilTest, WriteFileAtomicReplacesAndLeavesNoTemp) {
-  const std::string path = ::testing::TempDir() + "xvr_atomic_write.bin";
+  const std::string path = UniqueTempPath("atomic_write.bin");
   ASSERT_TRUE(WriteFileAtomic(path, "one").ok());
   auto first = ReadFileToString(path);
   ASSERT_TRUE(first.ok());

@@ -1,20 +1,21 @@
 // Differential and compatibility tests for the hot-path memory
 // architecture:
 //
-//   - flat-fragment layer: the scratch-based anchored walks (epoched memo,
-//     preorder subtree scans) against the retained legacy walks, over
-//     randomized documents and generated patterns; CSR/subtree_end/preorder
-//     structural invariants;
+//   - flat-fragment layer: the anchored walks (epoched memo, preorder
+//     subtree scans, one scratch shared across fragments) against
+//     EvaluatePattern — the semantics ground truth — run on the fragment
+//     re-parsed as a document, over randomized documents and generated
+//     patterns; CSR/subtree_end/preorder structural invariants;
 //   - serde: v2 round-trips byte-for-byte, v1 legacy images (including
 //     non-preorder node orders and duplicate side-table entries) load and
 //     canonicalize, truncated images fail cleanly, and FragmentStore's
 //     format census counts flat vs legacy loads;
 //   - VFILTER layer: dense label-indexed dispatch against the sparse map
-//     fallback, threshold ablation, and serde round-trip;
-//   - rewrite layer: Engine answers under MemoryMode::kArena against
-//     MemoryMode::kLegacyHeap — identical codes, stats and failure codes —
-//     including multi-threaded batches (arena-per-context under TSan) and
-//     arena reuse across a steady sequential stream.
+//     on the same automaton, and serde round-trip;
+//   - rewrite layer: view-strategy answers against the same engine's
+//     base-data (BN) answers, including multi-threaded batches
+//     (arena-per-context under TSan), budget failures, and arena reuse
+//     across a steady sequential stream.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 
 #include "common/random.h"
 #include "core/engine.h"
+#include "pattern/evaluate.h"
 #include "pattern/xpath_parser.h"
 #include "storage/fragment.h"
 #include "storage/fragment_store.h"
@@ -35,6 +37,7 @@
 #include "workload/query_gen.h"
 #include "workload/random_doc.h"
 #include "workload/xmark.h"
+#include "xml/xml_parser.h"
 
 namespace xvr {
 namespace {
@@ -68,8 +71,39 @@ void CheckTopologyInvariants(const Fragment& frag) {
   }
 }
 
+// The anchored semantics expressed through EvaluatePattern: `frag` re-parsed
+// as a stand-alone document (its preorder node indices are the document's
+// node ids) and `pattern`, relabelled into that document's dictionary,
+// with its root pinned to the document root.
+std::vector<int32_t> GroundTruthAnchored(const Fragment& frag,
+                                         const TreePattern& pattern,
+                                         const LabelDict& dict) {
+  auto doc = ParseXml(frag.ToXml(dict));
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) {
+    return {};
+  }
+  EXPECT_EQ(doc->size(), frag.size());
+  TreePattern anchored = pattern;
+  for (TreePattern::NodeIndex n = 0;
+       n < static_cast<TreePattern::NodeIndex>(anchored.size()); ++n) {
+    PatternNode& node = anchored.mutable_node(n);
+    if (node.label != kWildcardLabel) {
+      node.label = doc->labels().Intern(dict.Name(node.label));
+    }
+  }
+  anchored.mutable_node(anchored.root()).axis = Axis::kChild;
+  std::vector<int32_t> out;
+  for (NodeId n : EvaluatePattern(anchored, *doc)) {
+    out.push_back(static_cast<int32_t>(n));
+  }
+  return out;
+}
+
 class FlatFragmentRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Checks the anchored walks against EvaluatePattern (GroundTruthAnchored).
+// The test keeps its original id so its pass/fail history stays comparable.
 TEST_P(FlatFragmentRandomTest, ScratchWalksMatchLegacyWalks) {
   RandomDocOptions doc_options;
   doc_options.seed = GetParam();
@@ -89,23 +123,36 @@ TEST_P(FlatFragmentRandomTest, ScratchWalksMatchLegacyWalks) {
 
   Rng rng(GetParam() * 31 + 1);
   FragmentScratch scratch;  // deliberately shared across every trial
+  int matched = 0;
   for (int trial = 0; trial < 30; ++trial) {
     const NodeId root =
         static_cast<NodeId>(rng.NextBounded(static_cast<uint64_t>(tree.size())));
     const Fragment frag = Fragment::FromTree(tree, root);
     CheckTopologyInvariants(frag);
     for (int q = 0; q < 12; ++q) {
-      const TreePattern pattern = generator.Generate(&rng);
-      EXPECT_EQ(frag.MatchesAnchored(pattern),
-                frag.MatchesAnchored(pattern, &scratch))
-          << "seed=" << GetParam() << " trial=" << trial << " q=" << q;
-      const std::vector<int32_t> legacy = frag.EvaluateAnchored(pattern);
-      std::vector<int32_t> flat;
-      frag.EvaluateAnchored(pattern, &scratch, &flat);
-      EXPECT_EQ(legacy, flat)
-          << "seed=" << GetParam() << " trial=" << trial << " q=" << q;
+      // Generated patterns rarely share the random fragment's root label;
+      // the wildcard-rooted variant also exercises the walks below it.
+      TreePattern any_root = generator.Generate(&rng);
+      const TreePattern pattern = any_root;
+      any_root.mutable_node(any_root.root()).label = kWildcardLabel;
+      const TreePattern* const variants[] = {&pattern, &any_root};
+      for (const TreePattern* p : variants) {
+        const std::vector<int32_t> truth =
+            GroundTruthAnchored(frag, *p, tree.labels());
+        matched += truth.empty() ? 0 : 1;
+        EXPECT_EQ(frag.MatchesAnchored(*p, &scratch), !truth.empty())
+            << "seed=" << GetParam() << " trial=" << trial << " q=" << q;
+        std::vector<int32_t> flat;
+        frag.EvaluateAnchored(*p, &scratch, &flat);
+        EXPECT_EQ(flat, truth)
+            << "seed=" << GetParam() << " trial=" << trial << " q=" << q;
+        // The scratch-free forms run the same walk on a call-local scratch.
+        EXPECT_EQ(frag.MatchesAnchored(*p), !truth.empty());
+        EXPECT_EQ(frag.EvaluateAnchored(*p), truth);
+      }
     }
   }
+  EXPECT_GE(matched, 20) << "too few embeddings to exercise the walks";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatFragmentRandomTest,
@@ -309,9 +356,8 @@ class DenseNfaTest : public ::testing::Test {
     return views;
   }
 
-  VFilter Build(const std::vector<TreePattern>& views,
-                VFilterOptions options = {}) {
-    VFilter filter(options);
+  VFilter Build(const std::vector<TreePattern>& views) {
+    VFilter filter;
     for (size_t i = 0; i < views.size(); ++i) {
       filter.AddView(static_cast<int32_t>(i), views[i]);
     }
@@ -353,31 +399,20 @@ TEST_F(DenseNfaTest, DenseDispatchMatchesSparseDispatch) {
   ASSERT_GT(filter.nfa().num_dense_states(), 0u)
       << "fanout-20 state must have flipped to a dense table";
 
+  // use_dense = false reads the same automaton through the sparse maps
+  // only: the oracle for dense dispatch. The call-local-scratch overload
+  // (dense by default) must agree too.
   NfaReadScratch dense_scratch;
   dense_scratch.use_dense = true;
   NfaReadScratch sparse_scratch;
   sparse_scratch.use_dense = false;
   const std::vector<TreePattern> queries = Queries();
   for (size_t q = 0; q < queries.size(); ++q) {
-    ExpectSameResult(filter.Filter(queries[q], &dense_scratch),
-                     filter.Filter(queries[q], &sparse_scratch),
+    const FilterResult sparse = filter.Filter(queries[q], &sparse_scratch);
+    ExpectSameResult(filter.Filter(queries[q], &dense_scratch), sparse,
                      "query " + std::to_string(q));
-  }
-}
-
-TEST_F(DenseNfaTest, ThresholdZeroDisablesDenseTablesWithoutChangingResults) {
-  const std::vector<TreePattern> views = HighFanoutViews();
-  const VFilter dense_filter = Build(views);
-  VFilterOptions sparse_options;
-  sparse_options.dense_fanout_threshold = 0;
-  const VFilter sparse_filter = Build(views, sparse_options);
-  EXPECT_EQ(sparse_filter.nfa().num_dense_states(), 0u);
-
-  const std::vector<TreePattern> queries = Queries();
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ExpectSameResult(dense_filter.Filter(queries[q]),
-                     sparse_filter.Filter(queries[q]),
-                     "query " + std::to_string(q));
+    ExpectSameResult(filter.Filter(queries[q]), sparse,
+                     "query " + std::to_string(q) + " (local scratch)");
   }
 }
 
@@ -394,37 +429,35 @@ TEST_F(DenseNfaTest, SerdeRoundTripPreservesDenseBehavior) {
   }
 }
 
-// --- rewrite: MemoryMode::kArena vs MemoryMode::kLegacyHeap ----------------
+// --- rewrite: view strategies vs base-data evaluation ---------------------
 
-class MemoryModeDifferentialTest : public ::testing::Test {
+class RewriteDifferentialTest : public ::testing::Test {
  protected:
-  static void CompareSlots(const std::vector<Result<QueryAnswer>>& arena,
-                           const std::vector<Result<QueryAnswer>>& legacy) {
-    ASSERT_EQ(arena.size(), legacy.size());
-    for (size_t i = 0; i < arena.size(); ++i) {
-      ASSERT_EQ(arena[i].ok(), legacy[i].ok())
-          << "slot " << i << ": arena=" << (arena[i].ok() ? "ok" : "err")
-          << " legacy status=" << legacy[i].status();
-      if (!arena[i].ok()) {
-        EXPECT_EQ(arena[i].status().code(), legacy[i].status().code())
-            << "slot " << i;
+  // Every slot the view strategy answers must carry exactly BN's codes;
+  // every slot it refuses must be refused as NOT_ANSWERABLE. Returns the
+  // number of answered slots so callers can reject a vacuous run.
+  static size_t ExpectMatchesBase(
+      const std::vector<Result<QueryAnswer>>& views,
+      const std::vector<Result<QueryAnswer>>& base) {
+    EXPECT_EQ(views.size(), base.size());
+    size_t answered = 0;
+    for (size_t i = 0; i < views.size() && i < base.size(); ++i) {
+      EXPECT_TRUE(base[i].ok()) << "slot " << i << ": " << base[i].status();
+      if (!views[i].ok()) {
+        EXPECT_EQ(views[i].status().code(), StatusCode::kNotAnswerable)
+            << "slot " << i << ": " << views[i].status();
         continue;
       }
-      EXPECT_EQ(arena[i]->codes, legacy[i]->codes) << "slot " << i;
-      EXPECT_EQ(arena[i]->stats.rewrite.fragments_scanned,
-                legacy[i]->stats.rewrite.fragments_scanned)
-          << "slot " << i;
-      EXPECT_EQ(arena[i]->stats.rewrite.fragments_after_refinement,
-                legacy[i]->stats.rewrite.fragments_after_refinement)
-          << "slot " << i;
-      EXPECT_EQ(arena[i]->stats.rewrite.join_survivors,
-                legacy[i]->stats.rewrite.join_survivors)
-          << "slot " << i;
+      ++answered;
+      if (base[i].ok()) {
+        EXPECT_EQ(views[i]->codes, base[i]->codes) << "slot " << i;
+      }
     }
+    return answered;
   }
 };
 
-TEST_F(MemoryModeDifferentialTest, ArenaAnswersMatchLegacyHeapOnXmark) {
+TEST_F(RewriteDifferentialTest, ViewAnswersMatchBaseOnXmark) {
   XmarkOptions doc_options;
   doc_options.scale = 0.12;
   doc_options.seed = 17;
@@ -436,34 +469,34 @@ TEST_F(MemoryModeDifferentialTest, ArenaAnswersMatchLegacyHeapOnXmark) {
   const QueryGenerator generator(engine.doc(), gen_options);
   Rng rng(4242);
 
-  int added = 0;
-  for (int attempt = 0; attempt < 120 && added < 12; ++attempt) {
-    if (engine.AddView(generator.Generate(&rng)).ok()) {
-      ++added;
+  std::vector<TreePattern> live;
+  for (int attempt = 0; attempt < 120 && live.size() < 12; ++attempt) {
+    TreePattern view = generator.Generate(&rng);
+    if (engine.AddView(view).ok()) {
+      live.push_back(std::move(view));
     }
   }
-  ASSERT_GE(added, 4) << "workload generator produced too few live views";
+  ASSERT_GE(live.size(), 4u) << "workload generator produced too few live views";
 
   std::vector<TreePattern> batch;
   for (int i = 0; i < 60; ++i) {
     batch.push_back(generator.Generate(&rng));
   }
+  // Few generated queries have a leaf cover; every view answers itself.
+  batch.insert(batch.end(), live.begin(), live.end());
 
+  const auto base = engine.BatchAnswer(batch, AnswerStrategy::kBaseNodeIndex);
   for (AnswerStrategy strategy : {AnswerStrategy::kHeuristicFiltered,
                                   AnswerStrategy::kMinimumFiltered}) {
-    const auto arena = engine.BatchAnswer(batch, strategy, /*num_threads=*/0,
-                                          QueryLimits(), MemoryMode::kArena);
-    const auto legacy =
-        engine.BatchAnswer(batch, strategy, /*num_threads=*/0, QueryLimits(),
-                           MemoryMode::kLegacyHeap);
-    CompareSlots(arena, legacy);
+    EXPECT_GE(ExpectMatchesBase(engine.BatchAnswer(batch, strategy), base),
+              live.size());
   }
 }
 
-TEST_F(MemoryModeDifferentialTest, ThreadedArenaBatchMatchesSequentialLegacy) {
+TEST_F(RewriteDifferentialTest, ThreadedBatchMatchesSequentialAndBase) {
   // Four workers, one arena-bearing ExecutionContext each: positionally
-  // identical to the sequential legacy-heap run. This is the TSan shape for
-  // the serving path.
+  // identical to the sequential run (codes and rewrite stats) and to BN.
+  // This is the TSan shape for the serving path.
   XmarkOptions doc_options;
   doc_options.scale = 0.1;
   doc_options.seed = 5;
@@ -473,29 +506,45 @@ TEST_F(MemoryModeDifferentialTest, ThreadedArenaBatchMatchesSequentialLegacy) {
   gen_options.max_depth = 4;
   const QueryGenerator generator(engine.doc(), gen_options);
   Rng rng(99);
-  int added = 0;
-  for (int attempt = 0; attempt < 100 && added < 8; ++attempt) {
-    if (engine.AddView(generator.Generate(&rng)).ok()) {
-      ++added;
+  std::vector<TreePattern> live;
+  for (int attempt = 0; attempt < 100 && live.size() < 8; ++attempt) {
+    TreePattern view = generator.Generate(&rng);
+    if (engine.AddView(view).ok()) {
+      live.push_back(std::move(view));
     }
   }
-  ASSERT_GE(added, 3);
+  ASSERT_GE(live.size(), 3u);
 
   std::vector<TreePattern> batch;
   for (int i = 0; i < 48; ++i) {
     batch.push_back(generator.Generate(&rng));
   }
+  batch.insert(batch.end(), live.begin(), live.end());
   const auto threaded =
       engine.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered,
-                         /*num_threads=*/4, QueryLimits(), MemoryMode::kArena);
+                         /*num_threads=*/4);
   const auto sequential =
       engine.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered,
-                         /*num_threads=*/0, QueryLimits(),
-                         MemoryMode::kLegacyHeap);
-  CompareSlots(threaded, sequential);
+                         /*num_threads=*/0);
+  const auto base = engine.BatchAnswer(batch, AnswerStrategy::kBaseNodeIndex);
+  EXPECT_GE(ExpectMatchesBase(threaded, base), live.size());
+  ASSERT_EQ(threaded.size(), sequential.size());
+  for (size_t i = 0; i < threaded.size(); ++i) {
+    ASSERT_EQ(threaded[i].ok(), sequential[i].ok()) << "slot " << i;
+    if (!threaded[i].ok()) {
+      continue;
+    }
+    EXPECT_EQ(threaded[i]->codes, sequential[i]->codes) << "slot " << i;
+    const RewriteStats& a = threaded[i]->stats.rewrite;
+    const RewriteStats& b = sequential[i]->stats.rewrite;
+    EXPECT_EQ(a.fragments_scanned, b.fragments_scanned) << "slot " << i;
+    EXPECT_EQ(a.fragments_after_refinement, b.fragments_after_refinement)
+        << "slot " << i;
+    EXPECT_EQ(a.join_survivors, b.join_survivors) << "slot " << i;
+  }
 }
 
-TEST_F(MemoryModeDifferentialTest, FailureCodesAgreeUnderTightBudgets) {
+TEST_F(RewriteDifferentialTest, TightBudgetsReturnResourceExhausted) {
   XmarkOptions doc_options;
   doc_options.scale = 0.1;
   doc_options.seed = 23;
@@ -509,19 +558,29 @@ TEST_F(MemoryModeDifferentialTest, FailureCodesAgreeUnderTightBudgets) {
   batch.push_back(*engine.Parse("/site/people/person/name"));
   batch.push_back(*engine.Parse("/site/people/person[profile]/name"));
 
+  // Unbounded, both queries have more than one answer, so either budget
+  // below must trip.
+  const auto base = engine.BatchAnswer(batch, AnswerStrategy::kBaseNodeIndex);
+  for (const auto& r : base) {
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_GT(r->codes.size(), 1u);
+  }
+
   QueryLimits tight;
   tight.max_result_codes = 1;    // forces RESOURCE_EXHAUSTED on real answers
-  tight.max_join_fragments = 2;  // may trip first; modes must agree either way
-  const auto arena =
+  tight.max_join_fragments = 2;  // may trip first; same code either way
+  const auto limited =
       engine.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered,
-                         /*num_threads=*/0, tight, MemoryMode::kArena);
-  const auto legacy =
-      engine.BatchAnswer(batch, AnswerStrategy::kHeuristicFiltered,
-                         /*num_threads=*/0, tight, MemoryMode::kLegacyHeap);
-  CompareSlots(arena, legacy);
+                         /*num_threads=*/0, tight);
+  ASSERT_EQ(limited.size(), batch.size());
+  for (size_t i = 0; i < limited.size(); ++i) {
+    ASSERT_FALSE(limited[i].ok()) << "slot " << i;
+    EXPECT_EQ(limited[i].status().code(), StatusCode::kResourceExhausted)
+        << "slot " << i << ": " << limited[i].status();
+  }
 }
 
-TEST_F(MemoryModeDifferentialTest, SteadyStreamReusesArenaCapacity) {
+TEST_F(RewriteDifferentialTest, SteadyStreamReusesArenaCapacity) {
   // Sequential BatchAnswer drives every query through ONE context: the
   // arena must reach its high-water mark and then serve identical answers
   // with a stable footprint (Reset() + chunk reuse, no growth).

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xml/xml_parser.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -493,7 +494,7 @@ TEST_F(EngineObservabilityTest, BatchRecordsQueueWaitAndQueryCount) {
 }
 
 TEST_F(EngineObservabilityTest, WalAppendsAreCounted) {
-  const std::string path = ::testing::TempDir() + "xvr_obs_wal.bin";
+  const std::string path = UniqueTempPath("obs_wal.bin");
   std::remove(path.c_str());
   ASSERT_TRUE(engine_.EnableCatalogWal(path).ok());
   auto id = engine_.AddView(Parse("/r/s/p"));
@@ -504,9 +505,8 @@ TEST_F(EngineObservabilityTest, WalAppendsAreCounted) {
 }
 
 TEST_F(EngineObservabilityTest, StorageCountersTrackDurabilityWork) {
-  const std::string dir = ::testing::TempDir();
-  const std::string wal = dir + "xvr_obs_storage.wal";
-  const std::string image = dir + "xvr_obs_storage.img";
+  const std::string wal = UniqueTempPath("obs_storage.wal");
+  const std::string image = UniqueTempPath("obs_storage.img");
   std::remove(wal.c_str());
   std::remove(image.c_str());
 
@@ -602,7 +602,7 @@ TEST_F(EngineObservabilityTest, ArenaGaugesTrackTheServingPath) {
 
 TEST_F(EngineObservabilityTest, FragmentFormatCensusIsExposedOnLoad) {
   AddViews();
-  const std::string path = ::testing::TempDir() + "xvr_obs_flat_ratio.bin";
+  const std::string path = UniqueTempPath("obs_flat_ratio.bin");
   std::remove(path.c_str());
   ASSERT_TRUE(engine_.SaveState(path).ok());
   auto loaded = Engine::LoadState(path);

@@ -268,9 +268,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FilterSoundnessSweep,
 // paths, stressing ambiguous anchor assignments in the join and crowded
 // homomorphism image sets. Same invariants as above.
 
+// No padding, so the raw bytes gtest prints into the test name are all
+// defined (see SweepParams in containment_test.cc).
 struct RandomDocParams {
   uint64_t seed;
-  int alphabet;
+  int64_t alphabet;
 };
 
 class RandomDocSweep : public ::testing::TestWithParam<RandomDocParams> {};
@@ -278,7 +280,7 @@ class RandomDocSweep : public ::testing::TestWithParam<RandomDocParams> {};
 TEST_P(RandomDocSweep, EndToEndAndFilterInvariants) {
   RandomDocOptions doc_options;
   doc_options.seed = GetParam().seed;
-  doc_options.alphabet_size = GetParam().alphabet;
+  doc_options.alphabet_size = static_cast<int>(GetParam().alphabet);
   doc_options.num_nodes = 350;
   Engine engine(GenerateRandomDoc(doc_options));
 

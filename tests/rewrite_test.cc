@@ -31,6 +31,12 @@ class PrefixJoinTest : public ::testing::Test {
     EXPECT_EQ(d.paths.size(), 1u);
     return d.paths[0];
   }
+  AssignmentSet Match(const std::string& xpath, const std::string& labels,
+                      size_t max_assignments = 256) {
+    AssignmentSet out;
+    MatchPathOnLabels(Path(xpath), Labels(labels), max_assignments, &out);
+    return out;
+  }
   LabelDict dict_;
 };
 
@@ -66,18 +72,17 @@ TEST_F(PrefixJoinTest, Wildcards) {
 TEST_F(PrefixJoinTest, EnumeratesAllAssignments) {
   // The last step is pinned to the last position (the fragment root), so
   // //b on a.b.b has exactly one assignment (b at depth 2).
-  const auto single = MatchPathOnLabels(Path("//b"), Labels("abb"));
+  const AssignmentSet single = Match("//b", "abb");
   ASSERT_EQ(single.size(), 1u);
   EXPECT_EQ(single[0].back(), 2);
   // a//b//b on a.b.b.b: the middle b can sit at depth 1 or 2.
-  EXPECT_EQ(MatchPathOnLabels(Path("/a//b//b"), Labels("abbb")).size(), 2u);
+  EXPECT_EQ(Match("/a//b//b", "abbb").size(), 2u);
 }
 
 TEST_F(PrefixJoinTest, AssignmentCap) {
   // a//b//b on a.b.b.b.b: middle b at depth 1, 2 or 3; cap at 2.
-  EXPECT_EQ(MatchPathOnLabels(Path("/a//b//b"), Labels("abbbb")).size(), 3u);
-  EXPECT_EQ(MatchPathOnLabels(Path("/a//b//b"), Labels("abbbb"), 2).size(),
-            2u);
+  EXPECT_EQ(Match("/a//b//b", "abbbb").size(), 3u);
+  EXPECT_EQ(Match("/a//b//b", "abbbb", 2).size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "xml/dewey.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -314,7 +315,7 @@ TEST(CorruptionSweep, KvStoreImageSingleByteCorruptionAtEveryOffset) {
 }
 
 TEST(CorruptionSweep, EngineStateTruncationAtEveryOffset) {
-  const std::string path = ::testing::TempDir() + "xvr_sweep_state.bin";
+  const std::string path = UniqueTempPath("sweep_state.bin");
   auto doc = ParseXml("<r><s><p/></s></r>");
   ASSERT_TRUE(doc.ok());
   {
@@ -336,7 +337,7 @@ TEST(CorruptionSweep, EngineStateTruncationAtEveryOffset) {
 }
 
 TEST(CorruptionSweep, EngineStateRandomSingleByteCorruption) {
-  const std::string path = ::testing::TempDir() + "xvr_sweep_flip.bin";
+  const std::string path = UniqueTempPath("sweep_flip.bin");
   auto doc = ParseXml("<r><s><p/></s></r>");
   ASSERT_TRUE(doc.ok());
   {

@@ -11,10 +11,13 @@
 //                   (BN), interleaved fixed-work trials, median
 //                   queries/sec with IQR + ratio
 //   threads=N       queries/sec, speedup vs. 1 thread
-//   plan cache      cold vs. warm answering latency, hit ratio
+//   plan cache      warm vs. cold cache queries/sec, hit ratio
+//   deadline overhead  queries/sec with a 60 s deadline vs. none
 //   metrics overhead  queries/sec with the registry enabled vs. disabled
+//                   (these three: interleaved trials, median [IQR] + ratio)
 //   snapshot pin    cost of the per-query atomic catalog acquire
 //   catalog churn   queries/sec with a mutator thread adding/removing views
+//                   (workers leave one core to the mutator)
 //
 // The hv_vs_bn row is also written as BENCH_batch_throughput.json and
 // the churn A/B as BENCH_catalog_churn.json (see BenchJson in
@@ -78,6 +81,16 @@ RunResult RunBatch(const xvr::Engine& engine,
   return out;
 }
 
+// One A/B row: each side's median q/s [IQR] and the paired ratio A/B.
+void PrintAB(const char* row, const char* a_label, const char* b_label,
+             const xvr_bench::ABComparison& ab) {
+  std::printf(
+      "  %s: %s %8.0f q/s [%8.0f, %8.0f]  %s %8.0f q/s [%8.0f, %8.0f]  "
+      "ratio %.3fx [%.3fx, %.3fx]\n",
+      row, a_label, ab.a.median, ab.a.q25, ab.a.q75, b_label, ab.b.median,
+      ab.b.q25, ab.b.q75, ab.speedup.median, ab.speedup.q25, ab.speedup.q75);
+}
+
 void ResetCache(const xvr::Engine& engine) {
   if (PlanCache* cache = engine.plan_cache()) {
     cache->Clear();
@@ -106,6 +119,8 @@ int main() {
     batch.push_back(setup.queries[i % setup.queries.size()]);
   }
 
+  const size_t trials = xvr_bench::EnvSize("XVR_BENCH_TRIALS", 9);
+
   std::printf("bench_batch_throughput: %zu queries (Q1..Q4 cycled), %zu views,"
               " doc %zu nodes\n\n",
               batch.size(), setup.views_materialized,
@@ -121,7 +136,6 @@ int main() {
   // ratio is HV q/s over BN q/s, so a regression anywhere on the view path
   // (filter, selection, refine/join/extract, fragment walks) lowers it.
   {
-    const size_t trials = xvr_bench::EnvSize("XVR_BENCH_TRIALS", 9);
     xvr_bench::BenchJson json("batch_throughput");
     std::printf("views vs base (threads=1, %zu interleaved trials/side):\n",
                 trials);
@@ -168,48 +182,48 @@ int main() {
                   threads, r.qps, base_qps > 0 ? r.qps / base_qps : 0.0);
     }
 
-    // --- plan cache: cold run then warm run, single thread ------------------
-    ResetCache(engine);
-    const RunResult cold = RunBatch(engine, batch, strategy, 1);
-    const RunResult warm = RunBatch(engine, batch, strategy, 1);
+    // --- plan cache: warm vs cold, single thread ----------------------------
+    //
+    // Cold runs start from an empty cache; warm runs reuse the plans the
+    // previous run left. The batch cycles four queries, so a cold run
+    // builds four plans and hits the cache for the rest: the ratio prices
+    // those four builds per batch.
+    const xvr_bench::ABComparison cache_ab = xvr_bench::RunInterleavedAB(
+        trials, static_cast<double>(batch.size()),
+        [&] { return RunBatch(engine, batch, strategy, 1).seconds; },
+        [&] {
+          ResetCache(engine);
+          return RunBatch(engine, batch, strategy, 1).seconds;
+        });
+    PrintAB("plan cache", "warm", "cold", cache_ab);
     if (PlanCache* cache = engine.plan_cache()) {
       const PlanCache::Stats stats = cache->stats();
-      std::printf(
-          "  plan cache: cold %8.0f q/s, warm %8.0f q/s (%.2fx), "
-          "hit ratio %.3f (%llu hits / %llu lookups)\n",
-          cold.qps, warm.qps, cold.qps > 0 ? warm.qps / cold.qps : 0.0,
-          stats.HitRatio(),
-          static_cast<unsigned long long>(stats.hits),
-          static_cast<unsigned long long>(stats.lookups));
+      std::printf("    last cold run: hit ratio %.3f (%llu hits / %llu "
+                  "lookups)\n",
+                  stats.HitRatio(),
+                  static_cast<unsigned long long>(stats.hits),
+                  static_cast<unsigned long long>(stats.lookups));
     }
     // --- deadline-check overhead: generous deadline vs. none ----------------
     //
     // A deadline arms every CheckInterrupted / InterruptTicker on the path
     // (strided clock reads in the NFA, selection, refinement and join
-    // loops); an infinite deadline short-circuits to one branch. The gap
-    // between the two runs is the cost of serving with deadlines on, which
-    // the strided tickers are meant to keep under ~2%.
-    // Best-of-3 per side, alternating, to shave scheduler noise off a
-    // single-digit-percent comparison.
+    // loops); an infinite deadline short-circuits to one branch. The ratio
+    // below 1x is the cost of serving with deadlines on, which the strided
+    // tickers are meant to keep under ~2%.
     xvr::QueryLimits limits;
     limits.deadline = xvr::Deadline::AfterMicros(60'000'000);  // never hit
-    RunResult unlimited, limited;
-    for (int rep = 0; rep < 3; ++rep) {
-      ResetCache(engine);
-      const RunResult u = RunBatch(engine, batch, strategy, 1);
-      unlimited.qps = std::max(unlimited.qps, u.qps);
-      ResetCache(engine);
-      const RunResult l = RunBatch(engine, batch, strategy, 1, limits);
-      limited.qps = std::max(limited.qps, l.qps);
-    }
-    const double overhead_pct =
-        unlimited.qps > 0
-            ? (unlimited.qps - limited.qps) / unlimited.qps * 100.0
-            : 0.0;
-    std::printf(
-        "  deadline overhead: none %8.0f q/s, 60s deadline %8.0f q/s "
-        "(%+.2f%%)\n",
-        unlimited.qps, limited.qps, overhead_pct);
+    const xvr_bench::ABComparison deadline_ab = xvr_bench::RunInterleavedAB(
+        trials, static_cast<double>(batch.size()),
+        [&] {
+          ResetCache(engine);
+          return RunBatch(engine, batch, strategy, 1, limits).seconds;
+        },
+        [&] {
+          ResetCache(engine);
+          return RunBatch(engine, batch, strategy, 1).seconds;
+        });
+    PrintAB("deadline overhead", "60s deadline", "none", deadline_ab);
     std::printf("\n");
   }
 
@@ -217,32 +231,25 @@ int main() {
   //
   // With the registry enabled every query records a handful of sharded
   // relaxed atomics (counters, the trace roll-up, the latency histogram);
-  // disabled, each record is one relaxed load and a branch. The gap is the
-  // observability budget, which the sharded cells are meant to keep under
-  // ~2%. Best-of-3 per side, alternating, like the deadline rows.
+  // disabled, each record is one relaxed load and a branch. The ratio below
+  // 1x is the observability budget, which the sharded cells are meant to
+  // keep under ~2%.
   {
     const AnswerStrategy strategy = AnswerStrategy::kHeuristicFiltered;
-    RunResult enabled, disabled;
-    for (int rep = 0; rep < 3; ++rep) {
-      engine.metrics().SetEnabled(true);
+    const auto run_with_metrics = [&](bool enabled) {
+      engine.metrics().SetEnabled(enabled);
       ResetCache(engine);
-      const RunResult on = RunBatch(engine, batch, strategy, 1);
-      enabled.qps = std::max(enabled.qps, on.qps);
-      engine.metrics().SetEnabled(false);
-      ResetCache(engine);
-      const RunResult off = RunBatch(engine, batch, strategy, 1);
-      disabled.qps = std::max(disabled.qps, off.qps);
-    }
+      return RunBatch(engine, batch, strategy, 1).seconds;
+    };
+    const xvr_bench::ABComparison ab = xvr_bench::RunInterleavedAB(
+        trials, static_cast<double>(batch.size()),
+        [&] { return run_with_metrics(true); },
+        [&] { return run_with_metrics(false); });
     engine.metrics().SetEnabled(true);
-    const double overhead_pct =
-        disabled.qps > 0
-            ? (disabled.qps - enabled.qps) / disabled.qps * 100.0
-            : 0.0;
-    std::printf(
-        "metrics overhead (%s, threads=1): disabled %8.0f q/s, enabled "
-        "%8.0f q/s (%+.2f%%)\n\n",
-        AnswerStrategyName(strategy), disabled.qps, enabled.qps,
-        overhead_pct);
+    std::printf("metrics overhead (%s, threads=1):\n",
+                AnswerStrategyName(strategy));
+    PrintAB("metrics", "enabled", "disabled", ab);
+    std::printf("\n");
   }
 
   // --- snapshot pin: the per-query catalog acquire --------------------------
@@ -277,8 +284,12 @@ int main() {
   {
     xvr::Engine& mutable_engine = *setup.engine;
     const AnswerStrategy strategy = AnswerStrategy::kHeuristicFiltered;
-    const int threads = static_cast<int>(max_threads);
-    const size_t trials = xvr_bench::EnvSize("XVR_BENCH_TRIALS", 9);
+    // One core is left to the mutator, so a stalled worker does not decide
+    // the median; the quiet side runs the same pool for a like-for-like
+    // ratio.
+    const unsigned cores = std::thread::hardware_concurrency();
+    const int threads = static_cast<int>(std::max<size_t>(
+        1, std::min<size_t>(max_threads, cores > 1 ? cores - 1 : 1)));
     const uint64_t version_before = engine.catalog_version();
     std::atomic<uint64_t> mutations{0};
 

@@ -285,8 +285,11 @@ Result<SelectionResult> Engine::SelectViews(const TreePattern& query,
   // same pattern flows through selection and rewriting.
   ExecutionContext ctx;
   ctx.catalog = Catalog();  // lint:catalog-pin-ok (one snapshot per call)
-  return planner_->Select(*ctx.catalog, query, strategy, stats,
-                          &ctx.nfa_scratch);
+  Result<SelectionResult> selection =
+      planner_->Select(*ctx.catalog, query, strategy, stats,
+                       &ctx.nfa_scratch, ctx.limits, &ctx.trace);
+  SetTimingsFromTrace(ctx.trace, stats);
+  return selection;
 }
 
 Result<Engine::Answer> Engine::AnswerQuery(const TreePattern& query,
@@ -439,21 +442,10 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
   XVR_RETURN_IF_ERROR(status);
   // Fault-tolerant fragment load: a view with corrupt fragments is
   // quarantined (dropped from serving with a warning) instead of failing
-  // the whole restore.
+  // the whole restore. A fragment image in the retired v1 layout is
+  // refused the same way; re-adding the view re-materializes it.
   std::vector<int32_t> frag_quarantined;
   XVR_RETURN_IF_ERROR(next.fragments.LoadFrom(kv, &frag_quarantined));
-  // Image-format telemetry: how much of the restored store arrived in the
-  // flat (v2) layout versus being canonicalized from a legacy (v1) image.
-  {
-    const size_t flat = next.fragments.flat_load_count();
-    const size_t legacy = next.fragments.legacy_load_count();
-    engine->metrics_->fragment_flat_loads->Add(flat);
-    engine->metrics_->fragment_legacy_loads->Add(legacy);
-    if (flat + legacy > 0) {
-      engine->metrics_->fragment_flat_ratio_pct->Set(
-          static_cast<int64_t>(flat * 100 / (flat + legacy)));
-    }
-  }
   kv.ScanPrefix("viewmeta/", [&](const std::string& key,
                                  const std::string& value) {
     const int32_t id =
@@ -466,9 +458,9 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
     }
     return true;
   });
-  // The VFILTER image is an index over the view catalog, so a corrupt or
-  // missing image is recoverable: rebuild the filter from the restored
-  // patterns instead of failing the load.
+  // The VFILTER image is an index over the view catalog, so a corrupt,
+  // missing or unsupported-version (e.g. v3) image is recoverable: rebuild
+  // the filter from the restored patterns instead of failing the load.
   const std::string* image = kv.Get("vfilter/image");
   Result<VFilter> filter =
       image != nullptr

@@ -282,13 +282,13 @@ class Engine {
   //
   // Crash safety and corruption tolerance: the image is written via
   // write-temp-then-rename and carries a FNV-1a checksum, so a crash
-  // mid-save never loses the previous good state. On load, a corrupt or
-  // missing VFILTER image is rebuilt from the restored view catalog
-  // (vfilter_rebuilt() reports it), and a view with corrupt fragments is
-  // quarantined — dropped from the selection candidates with a warning —
-  // while the engine keeps answering from the remaining views. Only a
-  // corrupt document (or a torn image, caught by the checksum) fails the
-  // load.
+  // mid-save never loses the previous good state. On load, a corrupt,
+  // missing or non-v4 VFILTER image is rebuilt from the restored view
+  // catalog (vfilter_rebuilt() reports it), and a view with corrupt or
+  // non-v2 fragments is quarantined — dropped from the selection candidates
+  // with a warning — while the engine keeps answering from the remaining
+  // views. Only a corrupt document (or a torn image, caught by the
+  // checksum) fails the load.
   //
   // With a WAL enabled, a successful SaveState checkpoints the image at the
   // WAL's last sequence number and truncates the log; if only the truncate

@@ -153,15 +153,10 @@ Result<QueryAnswer> QueryPipeline::Execute(const QueryPlan& plan,
     ctx->catalog = deps_.catalog();  // lint:catalog-pin-ok (direct Execute)
   }
   QueryAnswer answer;
-  // Carry the plan's candidate counts and degradation flags, but report
-  // zero planning time: this call executes a plan it did not build. The
-  // planning cost stays inspectable in plan_filter/plan_selection_micros;
-  // Answer() restores filter/selection_micros when it planned in the same
-  // call (cache miss).
+  // Carry the plan's candidate counts and degradation flags; Answer()
+  // derives the timings from the trace.
   answer.stats = plan.plan_stats;
-  answer.stats.filter_micros = 0;
-  answer.stats.selection_micros = 0;
-  ScopedSpan exec_span(&ctx->trace, "execute");
+  XVR_SPAN(&ctx->trace, "execute");
   if (!plan.uses_views) {
     const std::vector<NodeId> nodes =
         deps_.base->Evaluate(plan.query, plan.base_strategy);
@@ -177,8 +172,6 @@ Result<QueryAnswer> QueryPipeline::Execute(const QueryPlan& plan,
       answer.codes.push_back(deps_.doc->dewey(n));
     }
     std::sort(answer.codes.begin(), answer.codes.end());
-    answer.stats.execution_micros = exec_span.StopMicros();
-    answer.stats.total_micros = answer.stats.execution_micros;
     return answer;
   }
   RewriteOptions rewrite_options;
@@ -192,8 +185,6 @@ Result<QueryAnswer> QueryPipeline::Execute(const QueryPlan& plan,
       AnswerWithViews(plan.query, plan.selection, ctx->catalog->fragments,
                       *deps_.doc->fst(), &answer.stats.rewrite,
                       rewrite_options);
-  answer.stats.execution_micros = exec_span.StopMicros();
-  answer.stats.total_micros = answer.stats.execution_micros;
   if (!codes.ok()) {
     return codes.status();
   }
@@ -204,7 +195,7 @@ Result<QueryAnswer> QueryPipeline::Execute(const QueryPlan& plan,
 Result<QueryAnswer> QueryPipeline::AnswerTraced(const TreePattern& query,
                                                 AnswerStrategy strategy,
                                                 ExecutionContext* ctx) const {
-  ScopedSpan query_span(&ctx->trace, "query");
+  XVR_SPAN(&ctx->trace, "query");
   // The pin: exactly one snapshot per query. Planning and execution both
   // read it, so a concurrent catalog mutation can neither tear this query
   // nor free a view it joins over.
@@ -215,15 +206,6 @@ Result<QueryAnswer> QueryPipeline::AnswerTraced(const TreePattern& query,
   Result<QueryAnswer> answer = Execute(*plan, ctx);
   if (answer.ok()) {
     answer->stats.plan_cache_hit = cache_hit;
-    if (!cache_hit) {
-      // This call built the plan, so the planning time is this call's work.
-      answer->stats.filter_micros = plan->plan_stats.filter_micros;
-      answer->stats.selection_micros = plan->plan_stats.selection_micros;
-    }
-    // Wall time of this call only: lookup + execution on a hit, planning +
-    // execution on a miss. Summing total_micros across repeated calls now
-    // matches elapsed wall time instead of double-counting planning.
-    answer->stats.total_micros = query_span.StopMicros();
     // Every strategy promises codes in strictly increasing document order.
     XVR_DEBUG_VALIDATE(ValidateAnswerCodes(answer->codes));
   }
@@ -235,6 +217,11 @@ Result<QueryAnswer> QueryPipeline::Answer(const TreePattern& query,
                                           ExecutionContext* ctx) const {
   ctx->trace.Clear();
   Result<QueryAnswer> answer = AnswerTraced(query, strategy, ctx);
+  if (answer.ok()) {
+    // The one clock: this call's timings are its own spans — lookup +
+    // execution on a plan-cache hit, planning + execution on a miss.
+    SetTimingsFromTrace(ctx->trace, &answer->stats);
+  }
   if (const EngineMetrics* m = deps_.metrics) {
     m->queries_total->Add();
     if (answer.ok()) {

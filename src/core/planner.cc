@@ -1,9 +1,11 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "common/logging.h"
 #include "obs/trace.h"
 #include "pattern/minimize.h"
 #include "rewrite/compensate.h"
@@ -75,6 +77,34 @@ const char* AnswerStrategyName(AnswerStrategy strategy) {
   return "?";
 }
 
+void SetTimingsFromTrace(const Trace& trace, AnswerStats* stats) {
+  // A pipeline query records at most 9 spans — query, plan, up to three
+  // plan.* spans (MN's degraded retry), execute and its three execute.*
+  // children — well under Trace::kCapacity, so the ring drops none of them.
+  XVR_DCHECK(trace.total_recorded() <= Trace::kCapacity);
+  int64_t filter = 0;
+  int64_t selection = 0;
+  int64_t execution = 0;
+  int64_t total = 0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const SpanRecord& span = trace.record(i);
+    const std::string_view name = span.name;
+    if (name == "plan.filter") {
+      filter += span.duration_nanos;
+    } else if (name == "plan.selection") {
+      selection += span.duration_nanos;
+    } else if (name == "execute") {
+      execution += span.duration_nanos;
+    } else if (name == "query") {
+      total += span.duration_nanos;
+    }
+  }
+  stats->filter_micros = static_cast<double>(filter) / 1e3;
+  stats->selection_micros = static_cast<double>(selection) / 1e3;
+  stats->execution_micros = static_cast<double>(execution) / 1e3;
+  stats->total_micros = static_cast<double>(total) / 1e3;
+}
+
 Planner::Planner(PlannerOptions options) : options_(options) {}
 
 Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
@@ -99,7 +129,7 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
       ScopedSpan selection_span(trace, "plan.selection");
       Result<SelectionResult> selection = SelectMinimum(
           query, ids, lookup, is_partial, ExhaustiveLimits(limits));
-      stats->selection_micros = selection_span.StopMicros();
+      selection_span.Stop();
       stats->candidates_after_filter = ids.size();
       if (!selection.ok() &&
           ShouldDegradeExhaustive(selection.status(), limits)) {
@@ -112,14 +142,13 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
         FilterResult filtered;
         XVR_ASSIGN_OR_RETURN(
             filtered, catalog.vfilter.Filter(query, scratch, limits));
-        stats->filter_micros = filter_span.StopMicros();
+        filter_span.Stop();
         stats->candidates_after_filter = filtered.candidates.size();
         ScopedSpan retry_span(trace, "plan.selection");
         HeuristicOptions options;
         options.is_partial = is_partial;
         options.limits = limits;
         selection = SelectHeuristic(query, filtered, lookup, options);
-        stats->selection_micros += retry_span.StopMicros();
       }
       if (selection.ok()) {
         stats->covers_computed = selection->covers_computed;
@@ -140,7 +169,7 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
         XVR_ASSIGN_OR_RETURN(
             filtered, catalog.vfilter.Filter(query, scratch, limits));
       }
-      stats->filter_micros = filter_span.StopMicros();
+      filter_span.Stop();
       stats->candidates_after_filter = filtered.candidates.size();
       if (candidates_out != nullptr && !filter_poisoned) {
         *candidates_out = filtered.candidates;
@@ -157,7 +186,6 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
         options.limits = limits;
         selection = SelectHeuristic(query, filtered, lookup, options);
       }
-      stats->selection_micros = selection_span.StopMicros();
       if (selection.ok()) {
         stats->covers_computed = selection->covers_computed;
         stats->views_selected = selection->views.size();
@@ -177,7 +205,7 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
         XVR_ASSIGN_OR_RETURN(
             filtered, catalog.vfilter.Filter(query, scratch, limits));
       }
-      stats->filter_micros = filter_span.StopMicros();
+      filter_span.Stop();
       stats->candidates_after_filter = filtered.candidates.size();
       if (candidates_out != nullptr && !filter_poisoned) {
         *candidates_out = filtered.candidates;
@@ -194,7 +222,6 @@ Result<SelectionResult> Planner::Select(const CatalogSnapshot& catalog,
       }
       Result<SelectionResult> selection =
           SelectHeuristic(query, filtered, lookup, options);
-      stats->selection_micros = selection_span.StopMicros();
       if (selection.ok()) {
         stats->covers_computed = selection->covers_computed;
         stats->views_selected = selection->views.size();
@@ -276,10 +303,6 @@ Result<QueryPlan> Planner::BuildPlan(const CatalogSnapshot& catalog,
   // plan (and every plan-cache hit) reuses them instead of rebuilding them
   // per call inside the rewrite.
   plan.compensation = BuildPlanCompensation(plan.query, plan.selection);
-  // Planning cost is inspectable on every later call that reuses this plan
-  // — the per-call filter/selection_micros go to zero on a cache hit.
-  plan.plan_stats.plan_filter_micros = plan.plan_stats.filter_micros;
-  plan.plan_stats.plan_selection_micros = plan.plan_stats.selection_micros;
   return plan;
 }
 

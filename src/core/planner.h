@@ -77,20 +77,16 @@ inline bool IsBaseStrategy(AnswerStrategy strategy) {
 
 // Per-call timing contract: filter/selection/execution/total_micros report
 // work done by *this* call only, so summing total_micros across calls
-// matches wall time even when plans are reused. On a plan-cache hit the
-// call did no planning — filter_micros and selection_micros are zero — and
-// the original planning cost stays inspectable in plan_filter_micros /
-// plan_selection_micros (which a cache miss fills with the same values as
-// filter/selection_micros).
+// matches wall time even when plans are reused. They are never measured
+// separately: SetTimingsFromTrace derives them from the call's span ring.
+// A plan-cache hit records no plan.filter / plan.selection span, so its
+// filter_micros and selection_micros are zero by construction.
+// QueryPlan::plan_stats carries the counts and degradation flags only.
 struct AnswerStats {
   double filter_micros = 0;     // VFILTER time (zero for BN/BF/MN)
   double selection_micros = 0;  // leaf covers + set cover / greedy walk
   double execution_micros = 0;  // fragment refinement/join or base scan
   double total_micros = 0;
-  // What building this call's plan cost when it was built — possibly by an
-  // earlier call, when the plan came out of the PlanCache.
-  double plan_filter_micros = 0;
-  double plan_selection_micros = 0;
   size_t candidates_after_filter = 0;
   size_t views_selected = 0;
   int covers_computed = 0;
@@ -106,6 +102,11 @@ struct AnswerStats {
   bool degraded_unfiltered = false;
   RewriteStats rewrite;
 };
+
+// Sets stats->{filter,selection,execution,total}_micros to the summed
+// durations of the trace's "plan.filter", "plan.selection", "execute" and
+// "query" spans.
+void SetTimingsFromTrace(const Trace& trace, AnswerStats* stats);
 
 // The immutable product of the planning stage. `query` is the pattern the
 // plan was built for (minimized when the planner minimizes); the cover node
@@ -128,7 +129,8 @@ struct QueryPlan {
   // parallel to selection.views.
   PlanCompensation compensation;
 
-  // Planning-phase stats (filter/selection timings, candidate counts).
+  // Planning-phase stats: candidate counts and degradation flags (no
+  // timings — those live in the planning call's trace).
   AnswerStats plan_stats;
 
   // True when any degradation fired while planning. Degraded plans are
@@ -176,8 +178,8 @@ class Planner {
   // *degrades* to the greedy heuristic over the same candidates and records
   // it in stats->degraded_selection rather than failing the query.
   //
-  // `trace`, when non-null, receives "plan.filter" / "plan.selection" spans
-  // mirroring the timings written into `stats`.
+  // `trace`, when non-null, receives the "plan.filter" / "plan.selection"
+  // spans (the source of the caller's filter/selection_micros).
   //
   // `candidates_out`, when non-null, receives the VFILTER candidate set the
   // filtered strategies (MV/HV/HB) planned over — even when selection then

@@ -7,10 +7,11 @@
 // ExecutionContext (one query at a time, never shared between threads), so
 // recording a span is two steady-clock reads and one array store — no
 // allocation, no locking. Stage code brackets its work with XVR_SPAN (or a
-// named ScopedSpan when it also needs the measured duration for
-// AnswerStats); after the query the pipeline rolls the retained spans up
-// into the engine's MetricsRegistry latency histograms, one histogram per
-// span name ("plan.filter" -> xvr.stage.plan.filter).
+// named ScopedSpan when it must end before its scope does); after the
+// query the pipeline derives the call's AnswerStats timings from the
+// retained spans and rolls them up into the engine's MetricsRegistry
+// latency histograms, one histogram per span name ("plan.filter" ->
+// xvr.stage.plan.filter). The ring is the only clock of the serving path.
 //
 // Span names must be string literals (the ring stores the pointer, not a
 // copy). Spans are recorded on completion, so the ring holds children
@@ -19,8 +20,8 @@
 // records are dropped from the roll-up — total_recorded() vs size() makes
 // the drop visible.
 //
-// A null Trace* is legal everywhere: the span still measures (callers may
-// need the duration for per-call stats) but records nothing.
+// A null Trace* is legal everywhere: the span reads no clock and records
+// nothing.
 
 #include <array>
 #include <chrono>
@@ -91,52 +92,37 @@ class Trace {
 };
 
 // RAII span. Measures from construction to Stop (or destruction) and
-// records into the trace when one is attached. StopMicros() ends the span
-// early and returns the measured duration — the serving path uses it to
-// fill AnswerStats while still landing the same measurement in the trace.
+// records into the trace; without a trace it does nothing at all.
 class ScopedSpan {
  public:
-  ScopedSpan(Trace* trace, const char* name)
-      : trace_(trace), name_(name), start_nanos_(MonotonicNanos()) {
+  ScopedSpan(Trace* trace, const char* name) : trace_(trace), name_(name) {
     if (trace_ != nullptr) {
       depth_ = static_cast<uint16_t>(trace_->BeginSpan());
+      start_nanos_ = MonotonicNanos();
     }
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  ~ScopedSpan() { Finish(); }
+  ~ScopedSpan() { Stop(); }
 
   // Ends the span now (recording it). Idempotent.
-  void Stop() { Finish(); }
-
-  // Ends the span now (recording it) and returns its duration in
-  // microseconds. Idempotent: later calls return the same duration.
-  double StopMicros() {
-    Finish();
-    return static_cast<double>(duration_nanos_) / 1e3;
+  void Stop() {
+    if (trace_ == nullptr) {
+      return;
+    }
+    trace_->EndSpan();
+    trace_->Record(name_, start_nanos_, MonotonicNanos() - start_nanos_,
+                   depth_);
+    trace_ = nullptr;
   }
 
  private:
-  void Finish() {
-    if (finished_) {
-      return;
-    }
-    finished_ = true;
-    duration_nanos_ = MonotonicNanos() - start_nanos_;
-    if (trace_ != nullptr) {
-      trace_->EndSpan();
-      trace_->Record(name_, start_nanos_, duration_nanos_, depth_);
-    }
-  }
-
   Trace* trace_;
   const char* name_;
-  int64_t start_nanos_;
-  int64_t duration_nanos_ = 0;
+  int64_t start_nanos_ = 0;
   uint16_t depth_ = 0;
-  bool finished_ = false;
 };
 
 // Anonymous scope-timing span: XVR_SPAN(&ctx->trace, "execute.join").

@@ -92,75 +92,20 @@ void FlatFragment::BuildTopology() {
   }
   child_index_.resize(n - 1);
   // CSR fill: count children, prefix-sum into ranges, then place child
-  // indices in node order (matching the legacy per-node push_back order).
-  auto fill_csr = [this, n] {
-    for (FragmentNode& node : nodes_) {
-      node.children_begin = 0;
-      node.children_end = 0;
-    }
-    for (size_t i = 1; i < n; ++i) {
-      ++nodes_[static_cast<size_t>(nodes_[i].parent)].children_end;
-    }
-    uint32_t offset = 0;
-    for (FragmentNode& node : nodes_) {
-      node.children_begin = offset;
-      offset += node.children_end;
-      node.children_end = node.children_begin;
-    }
-    for (size_t i = 1; i < n; ++i) {
-      FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
-      child_index_[p.children_end++] = static_cast<int32_t>(i);
-    }
-  };
-  fill_csr();
-
-  // Preorder check: DFS over the CSR children must visit 0, 1, 2, ...
-  // Legacy images only guarantee parents-before-children; canonicalize
-  // those so subtree_end ranges are valid.
-  std::vector<int32_t> perm;
-  perm.reserve(n);
-  std::vector<int32_t> dfs = {0};
-  while (!dfs.empty()) {
-    const int32_t i = dfs.back();
-    dfs.pop_back();
-    perm.push_back(i);
-    const std::span<const int32_t> kids = children(i);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      dfs.push_back(*it);
-    }
+  // indices in node order — which, in preorder, is document order.
+  for (size_t i = 1; i < n; ++i) {
+    ++nodes_[static_cast<size_t>(nodes_[i].parent)].children_end;
   }
-  bool identity = true;
-  for (size_t k = 0; k < n; ++k) {
-    if (perm[k] != static_cast<int32_t>(k)) {
-      identity = false;
-      break;
-    }
+  uint32_t offset = 0;
+  for (FragmentNode& node : nodes_) {
+    node.children_begin = offset;
+    offset += node.children_end;
+    node.children_end = node.children_begin;
   }
-  if (!identity) {
-    std::vector<int32_t> inv(n);
-    for (size_t k = 0; k < n; ++k) {
-      inv[static_cast<size_t>(perm[k])] = static_cast<int32_t>(k);
-    }
-    std::vector<FragmentNode> reordered(n);
-    for (size_t k = 0; k < n; ++k) {
-      FragmentNode node = nodes_[static_cast<size_t>(perm[k])];
-      node.parent = node.parent < 0 ? -1 : inv[static_cast<size_t>(node.parent)];
-      reordered[k] = node;
-    }
-    nodes_ = std::move(reordered);
-    for (auto& [id, text] : texts_) {
-      id = inv[static_cast<size_t>(id)];
-    }
-    std::sort(texts_.begin(), texts_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [id, list] : attrs_) {
-      id = inv[static_cast<size_t>(id)];
-    }
-    std::sort(attrs_.begin(), attrs_.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    fill_csr();
+  for (size_t i = 1; i < n; ++i) {
+    FragmentNode& p = nodes_[static_cast<size_t>(nodes_[i].parent)];
+    child_index_[p.children_end++] = static_cast<int32_t>(i);
   }
-
   // Preorder subtree bounds: a node's range ends where its last child's
   // range ends; sweep bottom-up (children have higher indices).
   for (size_t i = 0; i < n; ++i) {
@@ -359,80 +304,49 @@ std::vector<int32_t> FlatFragment::EvaluateAnchored(
 
 // --- serialization ----------------------------------------------------------
 
-namespace {
-
-// Body shared by v1 and v2: root code, nodes, sorted texts, sorted attrs.
-void PutBody(const DeweyCode& root_code,
-             const std::vector<FragmentNode>& nodes,
-             const std::vector<std::pair<int32_t, std::string>>& texts,
-             const std::vector<std::pair<int32_t, std::vector<XmlAttribute>>>&
-                 attrs,
-             std::string* out) {
-  PutU32(static_cast<uint32_t>(root_code.depth()), out);
-  for (uint32_t c : root_code.components()) {
-    PutU32(c, out);
-  }
-  PutU32(static_cast<uint32_t>(nodes.size()), out);
-  for (const FragmentNode& n : nodes) {
-    PutU32(static_cast<uint32_t>(n.label), out);
-    PutU32(static_cast<uint32_t>(n.parent), out);
-    PutU32(n.dewey_component, out);
-  }
-  PutU32(static_cast<uint32_t>(texts.size()), out);
-  for (const auto& [id, text] : texts) {
-    PutU32(static_cast<uint32_t>(id), out);
-    PutString(text, out);
-  }
-  PutU32(static_cast<uint32_t>(attrs.size()), out);
-  for (const auto& [id, list] : attrs) {
-    PutU32(static_cast<uint32_t>(id), out);
-    PutU32(static_cast<uint32_t>(list.size()), out);
-    for (const XmlAttribute& a : list) {
-      PutString(a.name, out);
-      PutString(a.value, out);
-    }
-  }
-}
-
-}  // namespace
-
 std::string FlatFragment::Serialize() const {
   std::string out;
   PutU32(kFlatMagic, &out);
-  PutBody(root_code_, nodes_, texts_, attrs_, &out);
+  PutU32(static_cast<uint32_t>(root_code_.depth()), &out);
+  for (uint32_t c : root_code_.components()) {
+    PutU32(c, &out);
+  }
+  PutU32(static_cast<uint32_t>(nodes_.size()), &out);
+  for (const FragmentNode& n : nodes_) {
+    PutU32(static_cast<uint32_t>(n.label), &out);
+    PutU32(static_cast<uint32_t>(n.parent), &out);
+    PutU32(n.dewey_component, &out);
+  }
+  PutU32(static_cast<uint32_t>(texts_.size()), &out);
+  for (const auto& [id, text] : texts_) {
+    PutU32(static_cast<uint32_t>(id), &out);
+    PutString(text, &out);
+  }
+  PutU32(static_cast<uint32_t>(attrs_.size()), &out);
+  for (const auto& [id, list] : attrs_) {
+    PutU32(static_cast<uint32_t>(id), &out);
+    PutU32(static_cast<uint32_t>(list.size()), &out);
+    for (const XmlAttribute& a : list) {
+      PutString(a.name, &out);
+      PutString(a.value, &out);
+    }
+  }
   return out;
 }
 
-std::string FlatFragment::SerializeLegacy() const {
-  std::string out;
-  PutBody(root_code_, nodes_, texts_, attrs_, &out);
-  return out;
-}
-
-Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
-                                               bool* was_flat) {
+Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes) {
   Reader r(bytes);
   FlatFragment out;
-  uint32_t first = 0;
-  if (!r.ReadU32(&first)) {
+  uint32_t magic = 0;
+  if (!r.ReadU32(&magic)) {
     return Status::ParseError("truncated fragment (header)");
   }
-  const bool flat = first == kFlatMagic;
-  if (was_flat != nullptr) {
-    *was_flat = flat;
+  if (magic != kFlatMagic) {
+    return Status::ParseError(
+        "fragment image has no v2 marker (v1 images are no longer read)");
   }
   uint32_t depth = 0;
-  if (flat) {
-    if (!r.ReadU32(&depth)) {
-      return Status::ParseError("truncated fragment (code depth)");
-    }
-  } else {
-    // Legacy v1 image: the first u32 is the code depth itself. kFlatMagic
-    // is far beyond any plausible depth, so the tag cannot be confused with
-    // a v1 depth that passes this bound.
-    depth = first;
-  }
-  if (depth > bytes.size() / 4) {
+  if (!r.ReadU32(&depth) || depth > bytes.size() / 4) {
     return Status::ParseError("truncated fragment (code depth)");
   }
   for (uint32_t i = 0; i < depth; ++i) {
@@ -447,6 +361,9 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
     return Status::ParseError("truncated fragment (node count)");
   }
   out.nodes_.resize(count);
+  // Preorder check: `path` is the chain from the root to the previous node,
+  // and every node's parent must be on it (node 0 is the root, parent -1).
+  std::vector<int32_t> path;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t label = 0;
     uint32_t parent = 0;
@@ -456,12 +373,13 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
     }
     out.nodes_[i].label = static_cast<LabelId>(label);
     out.nodes_[i].parent = static_cast<int32_t>(parent);
-    // Parents must precede children (node 0 is the root with parent -1).
-    if (i == 0 ? out.nodes_[i].parent != -1
-               : (out.nodes_[i].parent < 0 ||
-                  static_cast<uint32_t>(out.nodes_[i].parent) >= i)) {
-      return Status::ParseError("corrupt fragment (parent link)");
+    while (!path.empty() && path.back() != out.nodes_[i].parent) {
+      path.pop_back();
     }
+    if (i == 0 ? out.nodes_[i].parent != -1 : path.empty()) {
+      return Status::ParseError("corrupt fragment (nodes not in preorder)");
+    }
+    path.push_back(static_cast<int32_t>(i));
   }
   uint32_t num_texts = 0;
   if (!r.ReadU32(&num_texts) || num_texts > bytes.size() / 8) {
@@ -472,6 +390,10 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
     std::string text;
     if (!r.ReadU32(&id) || id >= count || !r.ReadString(&text)) {
       return Status::ParseError("truncated fragment (text entry)");
+    }
+    if (!out.texts_.empty() &&
+        static_cast<int32_t>(id) <= out.texts_.back().first) {
+      return Status::ParseError("corrupt fragment (text ids not ascending)");
     }
     out.texts_.emplace_back(static_cast<int32_t>(id), std::move(text));
   }
@@ -486,6 +408,10 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
         n > bytes.size() / 8) {
       return Status::ParseError("truncated fragment (attr entry)");
     }
+    if (!out.attrs_.empty() &&
+        static_cast<int32_t>(id) <= out.attrs_.back().first) {
+      return Status::ParseError("corrupt fragment (attr ids not ascending)");
+    }
     std::vector<XmlAttribute> list;
     for (uint32_t j = 0; j < n; ++j) {
       XmlAttribute a;
@@ -495,37 +421,6 @@ Result<FlatFragment> FlatFragment::Deserialize(const std::string& bytes,
       list.push_back(std::move(a));
     }
     out.attrs_.emplace_back(static_cast<int32_t>(id), std::move(list));
-  }
-  // Canonicalize the side tables: sorted by node id, one entry per node.
-  // Legacy images may list ids in any order; a duplicate text id keeps the
-  // last occurrence (matching the old map overwrite) and duplicate attr
-  // lists concatenate (matching the old map append).
-  std::stable_sort(out.texts_.begin(), out.texts_.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 1; i < out.texts_.size();) {
-    if (out.texts_[i - 1].first == out.texts_[i].first) {
-      out.texts_[i - 1].second = std::move(out.texts_[i].second);
-      out.texts_.erase(out.texts_.begin() + static_cast<long>(i));
-    } else {
-      ++i;
-    }
-  }
-  std::stable_sort(out.attrs_.begin(), out.attrs_.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 1; i < out.attrs_.size();) {
-    if (out.attrs_[i - 1].first == out.attrs_[i].first) {
-      auto& prev = out.attrs_[i - 1].second;
-      auto& cur = out.attrs_[i].second;
-      prev.insert(prev.end(), std::make_move_iterator(cur.begin()),
-                  std::make_move_iterator(cur.end()));
-      out.attrs_.erase(out.attrs_.begin() + static_cast<long>(i));
-    } else {
-      ++i;
-    }
   }
   out.BuildTopology();
   return out;

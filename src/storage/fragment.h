@@ -128,22 +128,17 @@ class FlatFragment {
 
   // --- serialization --------------------------------------------------------
   //
-  // Two wire formats. v2 (current, written by Serialize) starts with the
-  // kFlatMagic marker and stores nodes in guaranteed preorder with sorted
-  // text/attr tables — byte-for-byte deterministic. v1 (legacy, no magic;
-  // the first u32 is the root-code depth) is still accepted by Deserialize,
-  // including images whose nodes are not in preorder: those are
-  // canonicalized to preorder on load. SerializeLegacy writes v1 for the
-  // compatibility tests.
+  // The one wire format (v2) starts with the kFlatMagic marker and stores
+  // nodes in preorder with text/attr tables sorted by strictly ascending
+  // node id — byte-for-byte deterministic. Deserialize accepts exactly that
+  // and repairs nothing: an image without the marker (the retired v1
+  // layout), nodes out of preorder, or unsorted/duplicate side-table ids
+  // are a ParseError.
 
   static constexpr uint32_t kFlatMagic = 0x46524732;  // "FRG2" (LE "2GRF")
 
   std::string Serialize() const;
-  std::string SerializeLegacy() const;
-  // `was_flat`, when non-null, reports which format the image carried
-  // (feeds the fragment.flat_ratio metric).
-  static Result<FlatFragment> Deserialize(const std::string& bytes,
-                                          bool* was_flat = nullptr);
+  static Result<FlatFragment> Deserialize(const std::string& bytes);
 
   // Bytes the fragment occupies when serialized (the 128 KB budget metric).
   size_t ByteSize() const;
@@ -159,9 +154,8 @@ class FlatFragment {
   // Anchored walk: epoch-validated memo owned by `scratch`.
   bool EmbedsEpoch(const TreePattern& pattern, TreePattern::NodeIndex pn,
                    int32_t fn, FragmentScratch* scratch) const;
-  // Rebuilds child_index_/children ranges/subtree_end from nodes_[].parent,
-  // permuting to preorder first when the node order requires it (legacy
-  // images). Parents must precede children.
+  // Builds child_index_/children ranges/subtree_end from nodes_[].parent.
+  // Runs once, on preorder nodes whose child ranges are still zero.
   void BuildTopology();
 
   const std::string* FindText(int32_t i) const;

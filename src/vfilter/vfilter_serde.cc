@@ -24,11 +24,11 @@ SortedEntries(const Map& map) {
 }
 
 constexpr uint32_t kMagic = 0x56464C54;  // "VFLT"
-// v4 adds payload-length framing and a trailing FNV-1a checksum (matching
-// the KvStore image discipline); v3 images (unframed, no checksum) are
-// still readable.
+// v4 frames the payload with its length and a trailing FNV-1a checksum
+// (matching the KvStore image discipline). It is the only version read:
+// any other, including the unframed v3, is rejected, and the engine
+// rebuilds the filter from its view catalog (Engine::LoadState).
 constexpr uint32_t kVersion = 4;
-constexpr uint32_t kLegacyVersion = 3;
 
 void PutU32(uint32_t v, std::string* out) {
   char buf[4];
@@ -98,8 +98,8 @@ class Reader {
   size_t pos_ = 0;
 };
 
-// The image body (everything after magic/version and, in v4, the payload
-// framing): options flags, pred dictionary, view registry, NFA states.
+// The image body (the framed payload): options flags, pred dictionary,
+// view registry, NFA states.
 Result<VFilter> ParseVFilterBody(std::string_view payload) {
   Reader r(payload);
   uint32_t flags = 0;
@@ -300,17 +300,13 @@ Result<VFilter> DeserializeVFilter(const std::string& bytes) {
   if (!header.ReadU32(&magic) || magic != kMagic) {
     return Status::ParseError("bad VFilter image magic");
   }
-  if (!header.ReadU32(&version) ||
-      (version != kVersion && version != kLegacyVersion)) {
+  if (!header.ReadU32(&version) || version != kVersion) {
     return Status::ParseError("unsupported VFilter image version");
   }
-  if (version == kLegacyVersion) {
-    // v3: unframed, no checksum — the body runs to the end of the image.
-    return ParseVFilterBody(std::string_view(bytes).substr(8));
-  }
   uint64_t payload_len = 0;
-  if (!header.ReadU64(&payload_len) ||
-      payload_len != bytes.size() - 24) {  // 8 header + 8 length + 8 checksum
+  // 8 header + 8 length + 8 checksum bytes frame the payload.
+  if (!header.ReadU64(&payload_len) || bytes.size() < 24 ||
+      payload_len != bytes.size() - 24) {
     return Status::ParseError("bad VFilter image framing (payload length)");
   }
   const std::string_view payload =

@@ -438,9 +438,9 @@ TEST(ValidateFlatFragmentTest, RejectsRootCodeMismatch) {
   doc->AssignDeweyCodes();
   const Fragment fragment = Fragment::FromTree(*doc, 1);
   ASSERT_TRUE(ValidateFlatFragment(fragment).ok());
-  // Deserialize canonicalizes topology, so the layout checks can't be
-  // tripped through serde — but the root node's dewey_component is carried
-  // verbatim. Patch it in the wire image (v2 layout: magic, root-code
+  // Deserialize rebuilds topology from preorder parent links, so the
+  // layout checks can't be tripped through serde — but the root node's
+  // dewey_component is carried verbatim. Patch it in the wire image (v2 layout: magic, root-code
   // depth + components, node count, then 12-byte node records) so it no
   // longer matches the root code's last component.
   std::string bytes = fragment.Serialize();

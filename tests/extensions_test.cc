@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/file_util.h"
 #include "core/engine.h"
 #include "pattern/evaluate.h"
 #include "pattern/homomorphism.h"
@@ -14,6 +15,7 @@
 #include "workload/query_gen.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -357,7 +359,8 @@ TEST(EngineExtensions, BestEffortFallsBackToContained) {
 }
 
 TEST(EngineExtensions, SaveLoadStateRoundTrip) {
-  const std::string path = "/tmp/xvr_engine_state.bin";
+  const std::string path = UniqueTempPath("xvr_engine_state.bin");
+  const std::string resaved = UniqueTempPath("xvr_engine_state_resaved.bin");
   XmarkOptions doc_options;
   doc_options.scale = 0.1;
   std::vector<DeweyCode> expected;
@@ -386,11 +389,19 @@ TEST(EngineExtensions, SaveLoadStateRoundTrip) {
   auto a = engine.AnswerQuery(*q, AnswerStrategy::kHeuristicFiltered);
   ASSERT_TRUE(a.ok()) << a.status();
   EXPECT_EQ(a->codes, expected);
+  // The v2 image is a fixed point: saving the restored engine rewrites it
+  // byte for byte.
+  ASSERT_TRUE(engine.SaveState(resaved).ok());
+  auto original_bytes = ReadFileToString(path);
+  auto resaved_bytes = ReadFileToString(resaved);
+  ASSERT_TRUE(original_bytes.ok() && resaved_bytes.ok());
+  EXPECT_TRUE(*original_bytes == *resaved_bytes);
   // New views can still be added after restore.
   auto v = engine.Parse("//open_auction/current");
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(engine.AddView(std::move(v).value()).ok());
   std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
@@ -404,6 +405,66 @@ TEST_F(PersistenceFaultTest, CorruptVFilterImageRebuildsFromCatalog) {
   EXPECT_EQ(engine.num_views(), 2u);
   ExpectAnswers(engine, "/r/s/p", 2);
   ExpectAnswers(engine, "/r/t/u", 1);
+}
+
+// v3 VFILTER images (unframed, no checksum) are no longer read: LoadState
+// rebuilds the filter from the restored views, losslessly.
+TEST_F(PersistenceFaultTest, V3VFilterImageRebuildsFromCatalog) {
+  auto original = Engine::LoadState(path_);
+  ASSERT_TRUE(original.ok()) << original.status();
+  MutateImage([](KvStore* kv) {
+    const std::string* v4 = kv->Get("vfilter/image");
+    ASSERT_NE(v4, nullptr);
+    ASSERT_GT(v4->size(), 24u);
+    // v3 layout: magic and version 3, then the bare v4 payload — no length
+    // framing, no checksum.
+    std::string v3 = v4->substr(0, 8);
+    v3[4] = 3;  // the little-endian version word: 4 -> 3
+    v3 += v4->substr(16, v4->size() - 24);
+    kv->Put("vfilter/image", v3);
+  });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  Engine& engine = **loaded;
+  EXPECT_TRUE(engine.vfilter_rebuilt());
+  EXPECT_FALSE((*original)->vfilter_rebuilt());
+  for (const char* xpath : {"/r/s/p", "/r/t/u", "/r/s[q]/p", "//p"}) {
+    auto q = engine.Parse(xpath);
+    ASSERT_TRUE(q.ok());
+    EXPECT_EQ(engine.Catalog()->vfilter.Filter(*q).candidates,
+              (*original)->Catalog()->vfilter.Filter(*q).candidates)
+        << xpath;
+  }
+  ExpectAnswers(engine, "/r/s/p", 2);
+  ExpectAnswers(engine, "/r/t/u", 1);
+}
+
+// Fragments in the retired v1 layout (no v2 marker) are refused: the view
+// is quarantined with its pattern kept, and re-adding it is the way back.
+TEST_F(PersistenceFaultTest, V1FragmentImageQuarantinesItsView) {
+  MutateImage([](KvStore* kv) {
+    std::vector<std::pair<std::string, std::string>> v1;
+    kv->ScanPrefix("frag/0000000000/",
+                   [&](const std::string& key, const std::string& value) {
+                     v1.emplace_back(key, value.substr(4));  // drop marker
+                     return true;
+                   });
+    ASSERT_FALSE(v1.empty());
+    for (const auto& [key, value] : v1) {
+      kv->Put(key, value);
+    }
+  });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  Engine& engine = **loaded;
+  EXPECT_EQ(engine.quarantined_view_ids(), std::vector<int32_t>{0});
+  ASSERT_NE(engine.view(0), nullptr);
+  auto pattern = engine.Parse("/r/s/p");
+  ASSERT_TRUE(pattern.ok());
+  EXPECT_EQ(engine.view(0)->CanonicalKey(), pattern->CanonicalKey());
+  ExpectAnswers(engine, "/r/t/u", 1);
+  ASSERT_TRUE(engine.AddView(*engine.view(0)).ok());
+  ExpectAnswers(engine, "/r/s/p", 2);
 }
 
 TEST_F(PersistenceFaultTest, MissingVFilterImageRebuildsFromCatalog) {

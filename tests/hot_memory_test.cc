@@ -6,10 +6,9 @@
 //     EvaluatePattern — the semantics ground truth — run on the fragment
 //     re-parsed as a document, over randomized documents and generated
 //     patterns; CSR/subtree_end/preorder structural invariants;
-//   - serde: v2 round-trips byte-for-byte, v1 legacy images (including
-//     non-preorder node orders and duplicate side-table entries) load and
-//     canonicalize, truncated images fail cleanly, and FragmentStore's
-//     format census counts flat vs legacy loads;
+//   - serde: v2 round-trips byte-for-byte; v1 images, non-preorder node
+//     orders, unsorted or duplicate side-table ids, truncated images and
+//     damaged markers are all refused;
 //   - VFILTER layer: dense label-indexed dispatch against the sparse map
 //     on the same automaton, and serde round-trip;
 //   - rewrite layer: view-strategy answers against the same engine's
@@ -30,8 +29,6 @@
 #include "pattern/evaluate.h"
 #include "pattern/xpath_parser.h"
 #include "storage/fragment.h"
-#include "storage/fragment_store.h"
-#include "storage/kv_store.h"
 #include "vfilter/vfilter.h"
 #include "vfilter/vfilter_serde.h"
 #include "workload/query_gen.h"
@@ -158,7 +155,7 @@ TEST_P(FlatFragmentRandomTest, ScratchWalksMatchLegacyWalks) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatFragmentRandomTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
-// --- serde: v2 round-trip, v1 compatibility, canonicalization --------------
+// --- serde: v2 round-trip; v1, non-preorder and unsorted images refused ---
 
 Fragment SampleFragment() {
   RandomDocOptions doc_options;
@@ -179,25 +176,21 @@ TEST(FragmentSerdeTest, V2RoundTripsByteForByte) {
   std::memcpy(&magic, bytes.data(), 4);
   EXPECT_EQ(magic, Fragment::kFlatMagic);
 
-  bool was_flat = false;
-  auto loaded = Fragment::Deserialize(bytes, &was_flat);
+  auto loaded = Fragment::Deserialize(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(was_flat);
   EXPECT_EQ(loaded->Serialize(), bytes) << "v2 must be a fixed point";
   EXPECT_EQ(loaded->root_code(), frag.root_code());
   CheckTopologyInvariants(*loaded);
 }
 
-TEST(FragmentSerdeTest, LegacyImageLoadsIdentically) {
-  const Fragment frag = SampleFragment();
-  const std::string legacy_bytes = frag.SerializeLegacy();
-  bool was_flat = true;
-  auto loaded = Fragment::Deserialize(legacy_bytes, &was_flat);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(was_flat);
-  // Canonicalizing a legacy image of an already-canonical fragment must
-  // reproduce the fragment exactly.
-  EXPECT_EQ(loaded->Serialize(), frag.Serialize());
+TEST(FragmentSerdeTest, V1ImageIsRefused) {
+  // A v1 image is the v2 body without the leading marker.
+  const std::string v1 = SampleFragment().Serialize().substr(4);
+  auto loaded = Fragment::Deserialize(v1);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("v1"), std::string::npos)
+      << loaded.status();
 }
 
 void PutU32(uint32_t v, std::string* out) {
@@ -211,123 +204,106 @@ void PutStr(const std::string& s, std::string* out) {
   out->append(s);
 }
 
-TEST(FragmentSerdeTest, NonPreorderLegacyImageIsCanonicalized) {
-  // Hand-crafted v1 image whose node order is valid (parents precede
-  // children) but NOT preorder:
-  //
-  //   image idx  label  parent  comp     tree: root has children A(11)
-  //   0          10     -1      1        and B(12); A has child C(13)
-  //   1          11     0       1
-  //   2          12     0       2
-  //   3          13     1       1
-  //
-  // Preorder is root, A, C, B — node C (image idx 3) must move before B.
+// A hand-built v2 image with root code /1/5. `nodes` are (label, parent,
+// dewey component) triples in image order; each `attrs` entry carries one
+// attribute a=<value>.
+struct ImageSpec {
+  std::vector<std::vector<uint32_t>> nodes;
+  std::vector<std::pair<uint32_t, std::string>> texts;
+  std::vector<std::pair<uint32_t, std::string>> attrs;
+};
+
+std::string V2Image(const ImageSpec& spec) {
   std::string bytes;
+  PutU32(Fragment::kFlatMagic, &bytes);
   PutU32(2, &bytes);  // root code depth
   PutU32(1, &bytes);
-  PutU32(5, &bytes);  // root code = /1/5
-  PutU32(4, &bytes);  // node count
-  const uint32_t kNoParent = static_cast<uint32_t>(-1);
-  PutU32(10, &bytes); PutU32(kNoParent, &bytes); PutU32(1, &bytes);
-  PutU32(11, &bytes); PutU32(0, &bytes); PutU32(1, &bytes);
-  PutU32(12, &bytes); PutU32(0, &bytes); PutU32(2, &bytes);
-  PutU32(13, &bytes); PutU32(1, &bytes); PutU32(1, &bytes);
-  // Texts: a duplicate id — canonicalization keeps the LAST entry.
-  PutU32(2, &bytes);
-  PutU32(3, &bytes); PutStr("stale", &bytes);
-  PutU32(3, &bytes); PutStr("fresh", &bytes);
-  // Attrs: two entries for node 1 — canonicalization concatenates them.
-  PutU32(2, &bytes);
-  PutU32(1, &bytes); PutU32(1, &bytes);
-  PutStr("a", &bytes); PutStr("x", &bytes);
-  PutU32(1, &bytes); PutU32(1, &bytes);
-  PutStr("b", &bytes); PutStr("y", &bytes);
+  PutU32(5, &bytes);
+  PutU32(static_cast<uint32_t>(spec.nodes.size()), &bytes);
+  for (const std::vector<uint32_t>& node : spec.nodes) {
+    for (uint32_t field : node) {
+      PutU32(field, &bytes);
+    }
+  }
+  PutU32(static_cast<uint32_t>(spec.texts.size()), &bytes);
+  for (const auto& [id, text] : spec.texts) {
+    PutU32(id, &bytes);
+    PutStr(text, &bytes);
+  }
+  PutU32(static_cast<uint32_t>(spec.attrs.size()), &bytes);
+  for (const auto& [id, value] : spec.attrs) {
+    PutU32(id, &bytes);
+    PutU32(1, &bytes);
+    PutStr("a", &bytes);
+    PutStr(value, &bytes);
+  }
+  return bytes;
+}
 
-  bool was_flat = true;
-  auto loaded = Fragment::Deserialize(bytes, &was_flat);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_FALSE(was_flat);
-  CheckTopologyInvariants(*loaded);
+constexpr uint32_t kNoParent = static_cast<uint32_t>(-1);
 
-  ASSERT_EQ(loaded->size(), 4u);
-  // Canonical preorder: root(10), A(11), C(13), B(12).
-  EXPECT_EQ(loaded->node(0).label, 10);
-  EXPECT_EQ(loaded->node(1).label, 11);
-  EXPECT_EQ(loaded->node(2).label, 13);
-  EXPECT_EQ(loaded->node(3).label, 12);
-  EXPECT_EQ(loaded->node(2).parent, 1);
-  EXPECT_EQ(loaded->node(3).parent, 0);
-  EXPECT_EQ(loaded->subtree_end(1), 3);  // A's subtree is {A, C}
+// Root(10) with children A(11) and B(12); A has child C(13), in preorder:
+// root, A, C, B.
+ImageSpec PreorderSpec() {
+  return ImageSpec{{{10, kNoParent, 1}, {11, 0, 1}, {13, 1, 1}, {12, 0, 2}},
+                   {{1, "a"}, {2, "c"}},
+                   {{0, "x"}, {3, "y"}}};
+}
 
-  // Side tables followed the permutation: C was image idx 3, now idx 2.
-  ASSERT_NE(loaded->text(2), nullptr);
-  EXPECT_EQ(*loaded->text(2), "fresh");
-  ASSERT_NE(loaded->attribute(1, "a"), nullptr);
-  EXPECT_EQ(*loaded->attribute(1, "a"), "x");
-  ASSERT_NE(loaded->attribute(1, "b"), nullptr);
-  EXPECT_EQ(*loaded->attribute(1, "b"), "y");
+TEST(FragmentSerdeTest, NonPreorderImageIsRejected) {
+  auto preorder = Fragment::Deserialize(V2Image(PreorderSpec()));
+  ASSERT_TRUE(preorder.ok()) << preorder.status();
+  CheckTopologyInvariants(*preorder);
+  EXPECT_EQ(preorder->subtree_end(1), 3);  // A's subtree is {A, C}
+  ASSERT_NE(preorder->text(2), nullptr);
+  EXPECT_EQ(*preorder->text(2), "c");
 
-  // Re-serializing emits canonical v2; reloading it is a fixed point.
-  const std::string v2 = loaded->Serialize();
-  auto reloaded = Fragment::Deserialize(v2);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->Serialize(), v2);
+  // The same tree breadth-first: parents still precede children, but C
+  // (under A) comes after A's sibling B.
+  ImageSpec bfs = PreorderSpec();
+  bfs.nodes = {{10, kNoParent, 1}, {11, 0, 1}, {12, 0, 2}, {13, 1, 1}};
+  auto rejected = Fragment::Deserialize(V2Image(bfs));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kParseError);
+
+  // A parent link that points forward is not preorder either.
+  ImageSpec forward = PreorderSpec();
+  forward.nodes[1][1] = 2;
+  EXPECT_FALSE(Fragment::Deserialize(V2Image(forward)).ok());
+}
+
+TEST(FragmentSerdeTest, UnsortedOrDuplicateSideTableIdsAreRejected) {
+  ImageSpec texts_unsorted = PreorderSpec();
+  texts_unsorted.texts = {{2, "c"}, {1, "a"}};
+  ImageSpec texts_duplicate = PreorderSpec();
+  texts_duplicate.texts = {{1, "stale"}, {1, "fresh"}};
+  ImageSpec attrs_unsorted = PreorderSpec();
+  attrs_unsorted.attrs = {{3, "y"}, {0, "x"}};
+  ImageSpec attrs_duplicate = PreorderSpec();
+  attrs_duplicate.attrs = {{0, "x"}, {0, "y"}};
+  for (const ImageSpec& spec :
+       {texts_unsorted, texts_duplicate, attrs_unsorted, attrs_duplicate}) {
+    auto loaded = Fragment::Deserialize(V2Image(spec));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(FragmentSerdeTest, TruncatedImagesFailCleanly) {
-  const Fragment frag = SampleFragment();
-  for (const std::string& full : {frag.Serialize(), frag.SerializeLegacy()}) {
-    for (size_t len = 0; len < full.size(); ++len) {
-      auto r = Fragment::Deserialize(full.substr(0, len));
-      EXPECT_FALSE(r.ok()) << "strict prefix of length " << len
-                           << " must not parse";
-    }
+  const std::string full = SampleFragment().Serialize();
+  std::vector<std::string> inputs;
+  for (size_t len = 0; len < full.size(); ++len) {
+    inputs.push_back(full.substr(0, len));
   }
-}
-
-TEST(FragmentStoreTest, LoadCountsDistinguishFlatFromLegacyImages) {
-  RandomDocOptions doc_options;
-  doc_options.seed = 7;
-  doc_options.num_nodes = 80;
-  const XmlTree tree = GenerateRandomDoc(doc_options);
-  std::vector<Fragment> fragments;
-  for (NodeId n = 0; n < static_cast<NodeId>(tree.size()); n += 11) {
-    fragments.push_back(Fragment::FromTree(tree, n));
+  // A damaged marker reads as an unmarked (v1) image and is refused too.
+  for (size_t off = 0; off < 4; ++off) {
+    std::string flipped = full;
+    flipped[off] = static_cast<char>(flipped[off] ^ 0xFF);
+    inputs.push_back(std::move(flipped));
   }
-  const size_t count = fragments.size();
-  ASSERT_GT(count, 2u);
-
-  FragmentStore store;
-  store.PutView(7, fragments);
-  KvStore kv;
-  ASSERT_TRUE(store.SaveTo(&kv).ok());
-
-  // SaveTo writes v2: a fresh load is all-flat.
-  FragmentStore flat_loaded;
-  ASSERT_TRUE(flat_loaded.LoadFrom(kv).ok());
-  EXPECT_EQ(flat_loaded.flat_load_count(), count);
-  EXPECT_EQ(flat_loaded.legacy_load_count(), 0u);
-
-  // Rewrite every value as a v1 image under the same keys — the pre-flat
-  // on-disk state. It must load (legacy counter) to identical fragments.
-  KvStore legacy_kv;
-  const std::vector<Fragment>* stored = flat_loaded.GetView(7);
-  ASSERT_NE(stored, nullptr);
-  for (size_t i = 0; i < stored->size(); ++i) {
-    char key[64];
-    std::snprintf(key, sizeof(key), "frag/%010d/%08zu", 7, i);
-    legacy_kv.Put(key, (*stored)[i].SerializeLegacy());
-  }
-  FragmentStore legacy_loaded;
-  ASSERT_TRUE(legacy_loaded.LoadFrom(legacy_kv).ok());
-  EXPECT_EQ(legacy_loaded.flat_load_count(), 0u);
-  EXPECT_EQ(legacy_loaded.legacy_load_count(), count);
-
-  const std::vector<Fragment>* via_legacy = legacy_loaded.GetView(7);
-  ASSERT_NE(via_legacy, nullptr);
-  ASSERT_EQ(via_legacy->size(), stored->size());
-  for (size_t i = 0; i < stored->size(); ++i) {
-    EXPECT_EQ((*via_legacy)[i].Serialize(), (*stored)[i].Serialize());
+  for (const std::string& input : inputs) {
+    EXPECT_FALSE(Fragment::Deserialize(input).ok())
+        << "damaged image of length " << input.size() << " must not parse";
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "analysis/validate.h"
@@ -164,6 +165,26 @@ TEST_F(PipelineTest, LruEvictsLeastRecentlyUsedPlan) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// Sum of the durations of the trace's spans named `name`, in microseconds.
+double SpanSumMicros(const Trace& trace, const char* name) {
+  int64_t nanos = 0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (std::strcmp(trace.record(i).name, name) == 0) {
+      nanos += trace.record(i).duration_nanos;
+    }
+  }
+  return static_cast<double>(nanos) / 1e3;
+}
+
+// The one-clock contract: every AnswerStats timing is the span sum of the
+// call's own trace, never a separately measured copy.
+void ExpectTimingsMatchTrace(const AnswerStats& stats, const Trace& trace) {
+  EXPECT_EQ(stats.filter_micros, SpanSumMicros(trace, "plan.filter"));
+  EXPECT_EQ(stats.selection_micros, SpanSumMicros(trace, "plan.selection"));
+  EXPECT_EQ(stats.execution_micros, SpanSumMicros(trace, "execute"));
+  EXPECT_EQ(stats.total_micros, SpanSumMicros(trace, "query"));
+}
+
 // Regression: a plan-cache hit must not replay the cached plan's planning
 // cost into this call's stats. Before the fix, filter/selection_micros were
 // copied from the cached plan on every hit, so summing AnswerStats across
@@ -172,31 +193,35 @@ TEST_F(PipelineTest, PlanCacheHitDoesNotReplayPlanningCost) {
   ASSERT_TRUE(engine_.AddView(Parse("/r/s/p")).ok());
   ASSERT_TRUE(engine_.AddView(Parse("/r/s/f")).ok());
   const TreePattern q = Parse("/r/s[f]/p");
+  ExecutionContext ctx;
 
-  auto first = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
+  auto first =
+      engine_.pipeline().Answer(q, AnswerStrategy::kHeuristicFiltered, &ctx);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_FALSE(first->stats.plan_cache_hit);
-  // The miss planned, so planning time is this call's work — and the plan
-  // remembers the same cost under its own fields.
+  // The miss planned, so planning time is this call's work.
   EXPECT_GT(first->stats.filter_micros + first->stats.selection_micros, 0.0);
-  EXPECT_EQ(first->stats.plan_filter_micros, first->stats.filter_micros);
-  EXPECT_EQ(first->stats.plan_selection_micros,
-            first->stats.selection_micros);
+  ExpectTimingsMatchTrace(first->stats, ctx.trace);
 
-  auto second = engine_.AnswerQuery(q, AnswerStrategy::kHeuristicFiltered);
+  auto second =
+      engine_.pipeline().Answer(q, AnswerStrategy::kHeuristicFiltered, &ctx);
   ASSERT_TRUE(second.ok()) << second.status();
   ASSERT_TRUE(second->stats.plan_cache_hit);
   // The hit did no planning and reports none — exactly zero, not the cached
   // plan's cost.
   EXPECT_EQ(second->stats.filter_micros, 0.0);
   EXPECT_EQ(second->stats.selection_micros, 0.0);
-  // The plan's build cost stays inspectable, under its own fields.
-  EXPECT_EQ(second->stats.plan_filter_micros,
-            first->stats.plan_filter_micros);
-  EXPECT_EQ(second->stats.plan_selection_micros,
-            first->stats.plan_selection_micros);
+  ExpectTimingsMatchTrace(second->stats, ctx.trace);
   // total covers exactly this call: lookup + execution, nothing replayed.
   EXPECT_GE(second->stats.total_micros, second->stats.execution_micros);
+
+  // SelectViews times its VFILTER pass through the same spans.
+  AnswerStats select_stats;
+  ASSERT_TRUE(engine_
+                  .SelectViews(q, AnswerStrategy::kHeuristicFiltered,
+                               &select_stats)
+                  .ok());
+  EXPECT_GT(select_stats.filter_micros, 0.0);
 }
 
 // Regression companion: per-call stats can only account for work that

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -91,7 +92,13 @@ TEST_F(ServerTest, AnswersQueryAndKeepsConnectionAlive) {
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->status, 200) << response->body;
     EXPECT_NE(response->body.find("\"codes\""), std::string::npos);
-    EXPECT_NE(response->body.find("\"stats\""), std::string::npos);
+    // The per-call timing rides along, taken from the query's span ring.
+    const std::string kTotal = "\"stats\":{\"total_micros\":";
+    const size_t at = response->body.find(kTotal);
+    ASSERT_NE(at, std::string::npos) << response->body;
+    EXPECT_GT(std::strtod(response->body.c_str() + at + kTotal.size(), nullptr),
+              0.0)
+        << response->body;
   }
 }
 

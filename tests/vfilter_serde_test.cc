@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "pattern/xpath_parser.h"
 #include "storage/kv_store.h"
 #include "vfilter/vfilter.h"
@@ -66,6 +69,13 @@ TEST_F(VFilterSerdeTest, RejectsCorruptImages) {
   std::string bad_magic = image;
   bad_magic[0] = 'X';
   EXPECT_FALSE(DeserializeVFilter(bad_magic).ok());
+  // A 20-byte image whose length field is 20 - 24 modulo 2^64: the frame
+  // check must not wrap around and accept it.
+  std::string short_frame = image.substr(0, 8);
+  const uint64_t wrapped = static_cast<uint64_t>(20) - 24;
+  short_frame.append(reinterpret_cast<const char*>(&wrapped), 8);
+  short_frame.append(4, '\0');
+  EXPECT_FALSE(DeserializeVFilter(short_frame).ok());
 }
 
 TEST_F(VFilterSerdeTest, SizeGrowsSubLinearlyWithSharedPrefixes) {

@@ -10,11 +10,11 @@
 //   hv_vs_bn        answering from views (HV) vs the base-data node index
 //                   (BN), interleaved fixed-work trials, median
 //                   queries/sec with IQR + ratio
-//   threads=N       queries/sec, speedup vs. 1 thread
+//   threads=N       queries/sec on N threads vs. 1 thread
 //   plan cache      warm vs. cold cache queries/sec, hit ratio
 //   deadline overhead  queries/sec with a 60 s deadline vs. none
 //   metrics overhead  queries/sec with the registry enabled vs. disabled
-//                   (these three: interleaved trials, median [IQR] + ratio)
+//                   (these four: interleaved trials, median [IQR] + ratio)
 //   snapshot pin    cost of the per-query atomic catalog acquire
 //   catalog churn   queries/sec with a mutator thread adding/removing views
 //                   (workers leave one core to the mutator)
@@ -53,19 +53,14 @@ using xvr::PlanCache;
 using xvr::TreePattern;
 using xvr::WallTimer;
 
-struct RunResult {
-  double seconds = 0;
-  double qps = 0;
-};
-
-RunResult RunBatch(const xvr::Engine& engine,
-                   const std::vector<TreePattern>& batch,
-                   AnswerStrategy strategy, int threads,
-                   const xvr::QueryLimits& limits = xvr::QueryLimits()) {
+// Answers one batch and returns its wall time in seconds.
+double RunBatch(const xvr::Engine& engine,
+                const std::vector<TreePattern>& batch,
+                AnswerStrategy strategy, int threads,
+                const xvr::QueryLimits& limits = xvr::QueryLimits()) {
   WallTimer timer;
   auto results = engine.BatchAnswer(batch, strategy, threads, limits);
-  RunResult out;
-  out.seconds = timer.ElapsedMicros() / 1e6;
+  const double seconds = timer.ElapsedMicros() / 1e6;
   size_t failures = 0;
   for (const auto& r : results) {
     if (!r.ok()) {
@@ -76,9 +71,7 @@ RunResult RunBatch(const xvr::Engine& engine,
     std::fprintf(stderr, "warning: %zu/%zu queries failed\n", failures,
                  results.size());
   }
-  out.qps = out.seconds > 0 ? static_cast<double>(batch.size()) / out.seconds
-                            : 0;
-  return out;
+  return seconds;
 }
 
 // One A/B row: each side's median q/s [IQR] and the paired ratio A/B.
@@ -144,13 +137,11 @@ int main() {
         trials, static_cast<double>(batch.size()),
         [&] {
           return RunBatch(engine, batch, AnswerStrategy::kHeuristicFiltered,
-                          /*threads=*/1)
-              .seconds;
+                          /*threads=*/1);
         },
         [&] {
           return RunBatch(engine, batch, AnswerStrategy::kBaseNodeIndex,
-                          /*threads=*/1)
-              .seconds;
+                          /*threads=*/1);
         });
     std::printf(
         "  hv_vs_bn  HV %8.0f q/s [%8.0f, %8.0f]  BN %8.0f q/s [%8.0f, %8.0f]"
@@ -169,17 +160,24 @@ int main() {
                                   AnswerStrategy::kMinimumFiltered}) {
     std::printf("strategy %s\n", AnswerStrategyName(strategy));
 
-    // --- scaling: 1..max threads, cold cache each run -----------------------
-    double base_qps = 0;
-    for (size_t threads = 1; threads <= max_threads; threads *= 2) {
+    // --- scaling: N threads vs 1, cold cache each run ----------------------
+    //
+    // One batch takes a few milliseconds in CI's quick mode, so each thread
+    // count runs interleaved trials against the 1-thread batch; the ratio
+    // is N-thread q/s over 1-thread q/s.
+    const auto run_cold = [&](size_t threads) {
       ResetCache(engine);
-      const RunResult r =
-          RunBatch(engine, batch, strategy, static_cast<int>(threads));
-      if (threads == 1) {
-        base_qps = r.qps;
-      }
-      std::printf("  threads=%zu  %10.0f queries/sec  (%.2fx vs 1 thread)\n",
-                  threads, r.qps, base_qps > 0 ? r.qps / base_qps : 0.0);
+      return RunBatch(engine, batch, strategy, static_cast<int>(threads));
+    };
+    for (size_t threads = 2; threads <= max_threads; threads *= 2) {
+      const xvr_bench::ABComparison scaling_ab = xvr_bench::RunInterleavedAB(
+          trials, static_cast<double>(batch.size()),
+          [&] { return run_cold(threads); }, [&] { return run_cold(1); });
+      char row[32];
+      char label[32];
+      std::snprintf(row, sizeof(row), "threads=%zu", threads);
+      std::snprintf(label, sizeof(label), "%zu threads", threads);
+      PrintAB(row, label, "1 thread", scaling_ab);
     }
 
     // --- plan cache: warm vs cold, single thread ----------------------------
@@ -190,10 +188,10 @@ int main() {
     // those four builds per batch.
     const xvr_bench::ABComparison cache_ab = xvr_bench::RunInterleavedAB(
         trials, static_cast<double>(batch.size()),
-        [&] { return RunBatch(engine, batch, strategy, 1).seconds; },
+        [&] { return RunBatch(engine, batch, strategy, 1); },
         [&] {
           ResetCache(engine);
-          return RunBatch(engine, batch, strategy, 1).seconds;
+          return RunBatch(engine, batch, strategy, 1);
         });
     PrintAB("plan cache", "warm", "cold", cache_ab);
     if (PlanCache* cache = engine.plan_cache()) {
@@ -217,11 +215,11 @@ int main() {
         trials, static_cast<double>(batch.size()),
         [&] {
           ResetCache(engine);
-          return RunBatch(engine, batch, strategy, 1, limits).seconds;
+          return RunBatch(engine, batch, strategy, 1, limits);
         },
         [&] {
           ResetCache(engine);
-          return RunBatch(engine, batch, strategy, 1).seconds;
+          return RunBatch(engine, batch, strategy, 1);
         });
     PrintAB("deadline overhead", "60s deadline", "none", deadline_ab);
     std::printf("\n");
@@ -239,7 +237,7 @@ int main() {
     const auto run_with_metrics = [&](bool enabled) {
       engine.metrics().SetEnabled(enabled);
       ResetCache(engine);
-      return RunBatch(engine, batch, strategy, 1).seconds;
+      return RunBatch(engine, batch, strategy, 1);
     };
     const xvr_bench::ABComparison ab = xvr_bench::RunInterleavedAB(
         trials, static_cast<double>(batch.size()),
@@ -304,7 +302,7 @@ int main() {
     const auto run_batches = [&] {
       double seconds = 0;
       for (int rep = 0; rep < kRepeats; ++rep) {
-        seconds += RunBatch(engine, batch, strategy, threads).seconds;
+        seconds += RunBatch(engine, batch, strategy, threads);
       }
       return seconds;
     };

@@ -91,7 +91,9 @@ Rules (each suppressible per line with a `lint:<rule>-ok` comment):
 
   temp-path     In tests/, no `::testing::TempDir()` — neither
                 `TempDir() + "name"` nor a TempDir() directory joined with a
-                fixed name later. gtest_discover_tests runs every test as
+                fixed name later — and no "/tmp/..." string literal (a
+                fixed path outright, which two concurrent suite runs on one
+                host share as well). gtest_discover_tests runs every test as
                 its own process and `ctest -j` runs them in parallel, so a
                 fixed scratch name lets two tests clobber each other's files
                 (a flaky Tier-1). Use UniqueTempPath (tests/test_util.h),
@@ -146,6 +148,8 @@ ENV_IO_RE = re.compile(
 
 TEMP_PATH_DIRS = ("tests/",)
 TEMP_PATH_RE = re.compile(r"\bTempDir\s*\(\s*\)")
+# Matched on the raw line: string literals are blanked in the code view.
+TEMP_LITERAL_RE = re.compile(r'"/tmp/')
 
 HOT_ALLOC_DIRS = ("src/exec/", "src/rewrite/", "src/vfilter/")
 # Cold-path files exempt wholesale (none today; prefer line suppressions so
@@ -388,10 +392,13 @@ def lint_file(rel, raw, code, unordered_names, findings):
                                  "fsync ordering, the crash-point exploration "
                                  "and the storage metering all see it (or "
                                  "lint:env-io-ok)"))
-        if rel.startswith(TEMP_PATH_DIRS) and TEMP_PATH_RE.search(line):
+        raw_line = raw_lines[lineno - 1] if lineno - 1 < len(raw_lines) else ""
+        if rel.startswith(TEMP_PATH_DIRS) and (
+                TEMP_PATH_RE.search(line) or TEMP_LITERAL_RE.search(raw_line)):
             if not suppressed(lineno, "temp-path"):
                 findings.append((rel, lineno, "temp-path",
-                                 "fixed scratch path under TempDir(); "
+                                 "fixed scratch path (under TempDir() or "
+                                 "/tmp); "
                                  "parallel test processes share it — use "
                                  "UniqueTempPath (tests/test_util.h) or "
                                  "lint:temp-path-ok"))

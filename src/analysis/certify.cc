@@ -396,6 +396,14 @@ Certificate CertifyPlan(const QueryPlan& plan, const ViewLookup& lookup,
                tag + "'s hoisted refinement is not the subtree of Q at its "
                      "anchor");
       }
+      if (comp.views[vi].identity_refinement !=
+          IsIdentityRefinement(expected_refinement)) {
+        // Set on a refinement that filters, the flag would make the
+        // rewriter skip that filter; either disagreement is drift.
+        reject("compensation",
+               tag + "'s identity-refinement flag disagrees with the "
+                     "recomputed refinement");
+      }
       if (!(comp.views[vi].anchor_path == PathTo(query, anchors[vi]))) {
         reject("compensation",
                tag + "'s hoisted anchor path is not Q's root-to-anchor path");

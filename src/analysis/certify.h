@@ -24,7 +24,9 @@
 //     unverifiable claim rejects the plan.
 //  2. Compensation re-certification. The plan-hoisted refinement/anchor-
 //     path/extraction patterns are recomputed exactly from (query, anchor)
-//     and compared structurally; a drifted hoisted artifact (e.g. out of a
+//     and compared structurally, and the identity-refinement flag (which
+//     lets the rewriter skip the anchored walk) is re-derived from the
+//     recomputed refinement; a drifted hoisted artifact (e.g. out of a
 //     stale cache image) rejects the plan.
 //  3. Composition cross-check. Each view's pattern is composed with its
 //     refinement at the answer node (pattern/compose.h) and checked to not

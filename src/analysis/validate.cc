@@ -371,13 +371,17 @@ Status ValidateFragmentStore(const FragmentStore& store, const Fst& fst,
 
 Status ValidateViewFragments(const FragmentStore& store, int32_t view_id,
                              const Fst& fst, const ViewLookup& lookup) {
-  const std::vector<Fragment>* view_fragments = store.GetView(view_id);
-  if (view_fragments == nullptr) {
+  const StoredView* stored = store.GetStoredView(view_id);
+  if (stored == nullptr) {
     return Violation("view " + std::to_string(view_id) +
                      " is not materialized");
   }
   {
-    const std::vector<Fragment>& fragments = *view_fragments;
+    const std::vector<Fragment>& fragments = stored->fragments;
+    if (stored->group_of.size() != fragments.size()) {
+      return Violation("view " + std::to_string(view_id) +
+                       ": group index does not cover every fragment");
+    }
     // The view's root-to-answer path: every fragment root must sit at a
     // document position reachable by it (§V join precondition).
     PathPattern answer_path;
@@ -386,6 +390,7 @@ Status ValidateViewFragments(const FragmentStore& store, int32_t view_id,
         answer_path = PathTo(*view, view->answer());
       }
     }
+    std::vector<LabelId> decoded;
     for (size_t seq = 0; seq < fragments.size(); ++seq) {
       const Fragment& f = fragments[seq];
       if (seq > 0 &&
@@ -396,19 +401,25 @@ Status ValidateViewFragments(const FragmentStore& store, int32_t view_id,
       }
       XVR_RETURN_IF_ERROR(ValidateFragmentTree(view_id, seq, f, fst));
       XVR_RETURN_IF_ERROR(ValidateFlatFragment(f));
-      if (!answer_path.empty()) {
-        std::vector<LabelId> decoded;
-        if (!fst.Decode(f.root_code().components(), &decoded)) {
-          return Violation("view " + std::to_string(view_id) + " fragment " +
-                           std::to_string(seq) +
-                           ": root code is not decodable");
-        }
-        if (!PathMatchesLabels(answer_path, decoded)) {
-          return Violation("view " + std::to_string(view_id) + " fragment " +
-                           std::to_string(seq) + " root " +
-                           f.root_code().ToString() +
-                           " does not lie on the view's answer path");
-        }
+      if (!fst.Decode(f.root_code().components(), &decoded)) {
+        return Violation("view " + std::to_string(view_id) + " fragment " +
+                         std::to_string(seq) +
+                         ": root code is not decodable");
+      }
+      // The rewriter matches anchor paths on the group's path in place of
+      // the fragment's own decoded path.
+      const uint32_t group = stored->group_of[seq];
+      if (group >= stored->root_paths.size() ||
+          stored->root_paths[group] != decoded) {
+        return Violation("view " + std::to_string(view_id) + " fragment " +
+                         std::to_string(seq) +
+                         ": group index disagrees with the root label path");
+      }
+      if (!answer_path.empty() && !PathMatchesLabels(answer_path, decoded)) {
+        return Violation("view " + std::to_string(view_id) + " fragment " +
+                         std::to_string(seq) + " root " +
+                         f.root_code().ToString() +
+                         " does not lie on the view's answer path");
       }
     }
   }

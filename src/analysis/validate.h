@@ -58,7 +58,8 @@ Status ValidateVFilter(const VFilter& filter);
 
 // Fragment store invariants: per view, fragments sorted strictly ascending
 // by root code; every fragment is a well-formed tree whose node codes
-// decode through the document FST to the node's label; and, when `lookup`
+// decode through the document FST to the node's label; the root-path group
+// index holds each fragment's decoded root label path; and, when `lookup`
 // resolves the view's pattern, every fragment root decodes to a label path
 // matched by the view's root-to-answer path (the precondition of the
 // holistic fragment join, §V). `lookup` may be empty.

@@ -135,6 +135,12 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
   CatalogSnapshot next = CloneCatalog();
   const int32_t id = forced_id >= 0 ? forced_id : next.next_view_id;
   next.next_view_id = std::max(next.next_view_id, id + 1);
+  if (materialize) {
+    // Installs into the private successor only, so a refused fragment set
+    // (the group index's guard) aborts before the WAL sees the mutation.
+    XVR_RETURN_IF_ERROR(
+        next.fragments.PutView(id, std::move(fragments), *doc_.fst()));
+  }
   if (log_to_wal && wal_ != nullptr) {
     // Log before publish: once the mutation is visible to readers it must
     // survive a crash. A failed append aborts the whole mutation.
@@ -142,9 +148,6 @@ Result<int32_t> Engine::AddViewLocked(TreePattern view, CatalogWalOp op,
         wal_->Append(op, id, PatternToXPath(view, doc_.labels()));
     XVR_RETURN_IF_ERROR(seq.status());
     metrics_->wal_appends->Add();
-  }
-  if (materialize) {
-    next.fragments.PutView(id, std::move(fragments));
   }
   next.vfilter.AddView(id, view);
   if (op == CatalogWalOp::kAddViewCodesOnly) {
@@ -339,8 +342,8 @@ Result<std::vector<MaterializedAnswer>> Engine::AnswerQueryXml(
   options.scratch = &ctx.rewrite_scratch;
   options.compensation = &plan->compensation;
   return AnswerWithViewsXml(plan->query, plan->selection,
-                            ctx.catalog->fragments, *doc_.fst(),
-                            doc_.labels(), /*stats=*/nullptr, options);
+                            ctx.catalog->fragments, doc_.labels(),
+                            /*stats=*/nullptr, options);
 }
 
 Status Engine::SaveState(const std::string& path) const {
@@ -442,10 +445,13 @@ Result<std::unique_ptr<Engine>> Engine::LoadState(const std::string& path,
   XVR_RETURN_IF_ERROR(status);
   // Fault-tolerant fragment load: a view with corrupt fragments is
   // quarantined (dropped from serving with a warning) instead of failing
-  // the whole restore. A fragment image in the retired v1 layout is
-  // refused the same way; re-adding the view re-materializes it.
+  // the whole restore. A fragment image in the retired v1 layout, or a
+  // fragment whose root code does not decode to its root label under this
+  // document's FST, is refused the same way; re-adding the view
+  // re-materializes it.
   std::vector<int32_t> frag_quarantined;
-  XVR_RETURN_IF_ERROR(next.fragments.LoadFrom(kv, &frag_quarantined));
+  XVR_RETURN_IF_ERROR(next.fragments.LoadFrom(kv, *engine->doc_.fst(),
+                                               &frag_quarantined));
   kv.ScanPrefix("viewmeta/", [&](const std::string& key,
                                  const std::string& value) {
     const int32_t id =

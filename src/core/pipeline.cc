@@ -183,8 +183,7 @@ Result<QueryAnswer> QueryPipeline::Execute(const QueryPlan& plan,
   rewrite_options.compensation = &plan.compensation;
   Result<std::vector<DeweyCode>> codes =
       AnswerWithViews(plan.query, plan.selection, ctx->catalog->fragments,
-                      *deps_.doc->fst(), &answer.stats.rewrite,
-                      rewrite_options);
+                      &answer.stats.rewrite, rewrite_options);
   if (!codes.ok()) {
     return codes.status();
   }

@@ -18,6 +18,11 @@ TreePattern ExtractionPattern(const TreePattern& query,
   return query.SubtreePattern(q_star);
 }
 
+bool IsIdentityRefinement(const TreePattern& refinement) {
+  return refinement.size() == 1 &&
+         !refinement.node(refinement.root()).value_pred.has_value();
+}
+
 PlanCompensation BuildPlanCompensation(const TreePattern& query,
                                        const SelectionResult& selection) {
   PlanCompensation comp;
@@ -26,6 +31,7 @@ PlanCompensation BuildPlanCompensation(const TreePattern& query,
     ViewCompensation vc;
     vc.refinement = RefinementPattern(query, sel.cover.mapped_answer);
     vc.anchor_path = PathTo(query, sel.cover.mapped_answer);
+    vc.identity_refinement = IsIdentityRefinement(vc.refinement);
     comp.views.push_back(std::move(vc));
   }
   const int primary = selection.PrimaryIndex();

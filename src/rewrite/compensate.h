@@ -28,12 +28,21 @@ TreePattern RefinementPattern(const TreePattern& query,
 TreePattern ExtractionPattern(const TreePattern& query,
                               TreePattern::NodeIndex q_star);
 
+// True when `refinement` is the anchor node alone with no value predicate.
+// Such a refinement holds on every fragment whose root label path matches
+// the anchor path: the path's last step is the anchor's label, pinned to
+// the root's decoded label, which the fragment store guarantees equals the
+// stored root label. The rewriter then skips the anchored walk.
+bool IsIdentityRefinement(const TreePattern& refinement);
+
 // The compensating artifacts of one selected view, hoisted out of the
-// rewrite loop: the boolean refinement anchored at the view's q* and the
-// root->q* anchor path the fragment codes are verified against.
+// rewrite loop: the boolean refinement anchored at the view's q*, the
+// root->q* anchor path the fragment codes are verified against, and
+// whether the refinement is the identity (IsIdentityRefinement).
 struct ViewCompensation {
   TreePattern refinement;
   PathPattern anchor_path;
+  bool identity_refinement = false;
 };
 
 // Everything the rewrite derives from (query, selection) alone — built once

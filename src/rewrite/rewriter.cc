@@ -213,7 +213,7 @@ bool CanJoinPending(const ViewJoin* const* views, size_t num_views,
 // reported through `emit(code, fragment, node)`.
 Status AnswerCore(
     const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, RewriteStats* stats,
+    const FragmentStore& store, RewriteStats* stats,
     const RewriteOptions& options,
     const std::function<void(DeweyCode, const Fragment&, int32_t)>& emit) {
   RewriteStats local_stats;
@@ -252,8 +252,8 @@ Status AnswerCore(
   ScopedSpan refine_span(options.trace, "execute.refine");
   for (size_t vi = 0; vi < selection.views.size(); ++vi) {
     const SelectedView& sel = selection.views[vi];
-    const std::vector<Fragment>* fragments = store.GetView(sel.view_id);
-    if (fragments == nullptr) {
+    const StoredView* stored = store.GetStoredView(sel.view_id);
+    if (stored == nullptr) {
       return Status::NotFound("view " + std::to_string(sel.view_id) +
                               " is not materialized");
     }
@@ -268,6 +268,9 @@ Status AnswerCore(
         hoisted != nullptr ? hoisted->views[vi].refinement : refinement_storage;
     const PathPattern& anchor_path =
         hoisted != nullptr ? hoisted->views[vi].anchor_path : anchor_storage;
+    const bool identity = hoisted != nullptr
+                              ? hoisted->views[vi].identity_refinement
+                              : IsIdentityRefinement(refinement);
 
     join_data.emplace_back(arena);
     ViewJoin& data = join_data.back();
@@ -281,20 +284,59 @@ Status AnswerCore(
     }
     const size_t width = data.width();
 
-    for (const Fragment& fragment : *fragments) {
-      XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.refinement"));
-      ++st->fragments_scanned;
-      if (!fst.Decode(fragment.root_code().components(), &scratch.labels)) {
-        return Status::Internal("fragment code does not decode: " +
-                                fragment.root_code().ToString());
-      }
-      MatchPathOnLabels(anchor_path, scratch.labels,
+    // Match the anchor path once per root label path. Group g's distinct
+    // signature rows, as positions on the path (a signature prefix length
+    // minus one), are rows [group_rows[g], group_rows[g + 1]) of
+    // `group_pos`; an empty range means the group's fragment roots do not
+    // sit under Q's anchor path.
+    const size_t num_groups = stored->root_paths.size();
+    uint32_t* group_rows = arena->AllocateArray<uint32_t>(num_groups + 1);
+    ArenaVector<uint32_t> group_pos{ArenaAllocator<uint32_t>(arena)};
+    uint32_t num_group_rows = 0;
+    for (size_t g = 0; g < num_groups; ++g) {
+      group_rows[g] = num_group_rows;
+      MatchPathOnLabels(anchor_path, stored->root_paths[g],
                         options.max_assignments_per_fragment,
                         &scratch.assignments);
-      if (scratch.assignments.empty()) {
+      for (size_t ai = 0; ai < scratch.assignments.size(); ++ai) {
+        const std::span<const int> a = scratch.assignments[ai];
+        // Build the candidate row at the tail, then keep it only if this
+        // group has not produced it already (assignments are capped, so
+        // the dedup scan is bounded).
+        const size_t tail = group_pos.size();
+        for (size_t s = 0; s < width; ++s) {
+          group_pos.push_back(
+              static_cast<uint32_t>(a[data.shared_path_pos[s]]));
+        }
+        bool duplicate = false;
+        for (uint32_t row = group_rows[g]; row < num_group_rows; ++row) {
+          if (std::equal(group_pos.begin() + row * width,
+                         group_pos.begin() + (row + 1) * width,
+                         group_pos.begin() + tail)) {
+            duplicate = true;
+            break;
+          }
+        }
+        if (duplicate) {
+          group_pos.resize(tail);
+        } else {
+          ++num_group_rows;
+        }
+      }
+    }
+    group_rows[num_groups] = num_group_rows;
+
+    const std::vector<Fragment>& fragments = stored->fragments;
+    for (size_t fi = 0; fi < fragments.size(); ++fi) {
+      XVR_RETURN_IF_ERROR(ticker.Tick("rewrite.refinement"));
+      ++st->fragments_scanned;
+      const uint32_t g = stored->group_of[fi];
+      if (group_rows[g] == group_rows[g + 1]) {
         continue;  // the fragment root does not sit under Q's anchor path
       }
-      if (!fragment.MatchesAnchored(refinement, &scratch.fragment)) {
+      const Fragment& fragment = fragments[fi];
+      if (!identity &&
+          !fragment.MatchesAnchored(refinement, &scratch.fragment)) {
         continue;  // compensating predicate fails inside the fragment
       }
       ++st->fragments_after_refinement;
@@ -302,30 +344,12 @@ Status AnswerCore(
       JoinFrag jf;
       jf.fragment = &fragment;
       jf.sig_begin = data.num_rows;
-      for (size_t ai = 0; ai < scratch.assignments.size(); ++ai) {
-        const std::span<const int> a = scratch.assignments[ai];
-        // Build the candidate row at the store's tail, then keep it only if
-        // this fragment has not produced it already (assignments are capped,
-        // so the dedup scan is bounded).
-        const size_t tail = data.sig_store.size();
+      for (uint32_t row = group_rows[g]; row < group_rows[g + 1]; ++row) {
         for (size_t s = 0; s < width; ++s) {
-          const int pos = a[data.shared_path_pos[s]];
-          data.sig_store.push_back(PrefixRef{&fragment.root_code(),
-                                             static_cast<uint32_t>(pos) + 1});
+          data.sig_store.push_back(
+              PrefixRef{&fragment.root_code(), group_pos[row * width + s] + 1});
         }
-        bool duplicate = false;
-        for (uint32_t row = jf.sig_begin; row < data.num_rows; ++row) {
-          if (RowCompare(data.Row(row), data.sig_store.data() + tail, width) ==
-              0) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) {
-          data.sig_store.resize(tail);
-        } else {
-          ++data.num_rows;
-        }
+        ++data.num_rows;
       }
       jf.sig_end = data.num_rows;
       data.fragments.push_back(jf);
@@ -431,11 +455,11 @@ Status AnswerCore(
 
 Result<std::vector<DeweyCode>> AnswerWithViews(
     const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, RewriteStats* stats,
+    const FragmentStore& store, RewriteStats* stats,
     const RewriteOptions& options) {
   std::vector<DeweyCode> result;
   XVR_RETURN_IF_ERROR(AnswerCore(
-      query, selection, store, fst, stats, options,
+      query, selection, store, stats, options,
       [&result](DeweyCode code, const Fragment&, int32_t) {
         result.push_back(std::move(code));
       }));
@@ -446,11 +470,11 @@ Result<std::vector<DeweyCode>> AnswerWithViews(
 
 Result<std::vector<MaterializedAnswer>> AnswerWithViewsXml(
     const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, const LabelDict& dict,
+    const FragmentStore& store, const LabelDict& dict,
     RewriteStats* stats, const RewriteOptions& options) {
   std::vector<MaterializedAnswer> result;
   XVR_RETURN_IF_ERROR(AnswerCore(
-      query, selection, store, fst, stats, options,
+      query, selection, store, stats, options,
       [&result, &dict](DeweyCode code, const Fragment& fragment,
                        int32_t node) {
         result.push_back(

@@ -4,11 +4,14 @@
 // Equivalent rewriting using multiple views (paper §V).
 //
 // Pipeline, given a query Q and a selected view set (selection module):
-//   1. Refinement ("pushing selection"): every fragment of every selected
-//      view is checked against the compensating predicate — the subtree of Q
-//      rooted at the view's anchor q_i* — and against the root path of Q up
-//      to q_i* (verified on the fragment's extended Dewey code via the FST,
-//      Example 2.1/5.1: no base data access).
+//   1. Refinement ("pushing selection"): the root path of Q up to the
+//      view's anchor q_i* is matched once per distinct root label path of
+//      the view's fragments (decoded from their extended Dewey codes via
+//      the FST when the view was installed, Example 2.1/5.1: no base data
+//      access); fragments under a non-matching path are skipped wholesale.
+//      The survivors are checked against the compensating predicate — the
+//      subtree of Q rooted at q_i* — unless that subtree is q_i* alone with
+//      no value predicate, which the path match already implies.
 //   2. Holistic join: fragments of different views are combined only when
 //      their Dewey codes assign the same concrete document position (code
 //      prefix) to every shared skeleton node of Q.
@@ -30,7 +33,6 @@
 #include "selection/answerability.h"
 #include "storage/fragment_store.h"
 #include "xml/dewey.h"
-#include "xml/fst.h"
 
 namespace xvr {
 
@@ -48,9 +50,8 @@ struct RewriteStats {
 // — after warm-up a steady query stream allocates nothing here.
 struct RewriteScratch {
   Arena arena;
-  // FST label-decode buffer (one fragment root code at a time).
-  std::vector<LabelId> labels;
-  // Flat path-assignment buffer for MatchPathOnLabels.
+  // Flat path-assignment buffer for MatchPathOnLabels (one root label path
+  // group at a time).
   AssignmentSet assignments;
   // Epoched embedding memo + frontier buffers for the anchored walks.
   FragmentScratch fragment;
@@ -64,7 +65,8 @@ struct RewriteScratch {
 
 struct RewriteOptions {
   // Cap on path-match assignments enumerated per fragment (ambiguous //
-  // paths); 0 = unlimited.
+  // paths; fragments sharing a root label path share the enumeration);
+  // 0 = unlimited.
   size_t max_assignments_per_fragment = 256;
   // Deadline/cancellation (checked inside the refinement and join loops)
   // and resource budgets: limits.max_join_fragments bounds how many refined
@@ -89,12 +91,13 @@ struct RewriteOptions {
   const PlanCompensation* compensation = nullptr;
 };
 
-// Answers `query` from materialized fragments only. `fst` must be the
-// transducer of the document the fragments were materialized from.
+// Answers `query` from materialized fragments only. The store's root-path
+// group index carries the fragments' decoded label paths, so no FST is
+// needed here (the store decoded them when the views were installed).
 Result<std::vector<DeweyCode>> AnswerWithViews(
     const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst,
-    RewriteStats* stats = nullptr, const RewriteOptions& options = {});
+    const FragmentStore& store, RewriteStats* stats = nullptr,
+    const RewriteOptions& options = {});
 
 // Like AnswerWithViews, additionally materializing every answer's XML text
 // from the primary view's fragments (still no base-data access). The two
@@ -105,7 +108,7 @@ struct MaterializedAnswer {
 };
 Result<std::vector<MaterializedAnswer>> AnswerWithViewsXml(
     const TreePattern& query, const SelectionResult& selection,
-    const FragmentStore& store, const Fst& fst, const LabelDict& dict,
+    const FragmentStore& store, const LabelDict& dict,
     RewriteStats* stats = nullptr, const RewriteOptions& options = {});
 
 }  // namespace xvr

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <unordered_set>
 #include <utility>
 
@@ -25,11 +26,42 @@ std::string FragmentKey(int32_t view_id, size_t seq) {
   return buf;
 }
 
-void SortByRoot(std::vector<Fragment>* fragments) {
-  std::sort(fragments->begin(), fragments->end(),
+// Sorts `fragments` by root code and builds their root-path group index.
+// The rewriter trusts the index in place of per-fragment checks, so a root
+// code that does not decode under `fst`, or decodes to a path whose last
+// label is not the fragment's stored root label, is refused here: it would
+// otherwise pass the anchor-path match for a label the fragment lacks.
+Result<StoredView> BuildStoredView(std::vector<Fragment> fragments,
+                                   const Fst& fst) {
+  std::sort(fragments.begin(), fragments.end(),
             [](const Fragment& a, const Fragment& b) {
               return a.root_code() < b.root_code();
             });
+  StoredView view;
+  view.group_of.reserve(fragments.size());
+  std::map<std::vector<LabelId>, uint32_t> group_ids;
+  std::vector<LabelId> labels;
+  for (const Fragment& fragment : fragments) {
+    const DeweyCode& code = fragment.root_code();
+    if (!fst.Decode(code.components(), &labels)) {
+      return Status::Internal("fragment root code " + code.ToString() +
+                              " does not decode under the document FST");
+    }
+    if (labels.empty() || fragment.size() == 0 ||
+        labels.back() != fragment.node(0).label) {
+      return Status::Internal("fragment root code " + code.ToString() +
+                              " does not decode to the fragment's root "
+                              "label");
+    }
+    const auto [it, inserted] = group_ids.try_emplace(
+        labels, static_cast<uint32_t>(view.root_paths.size()));
+    if (inserted) {
+      view.root_paths.push_back(labels);
+    }
+    view.group_of.push_back(it->second);
+  }
+  view.fragments = std::move(fragments);
+  return view;
 }
 
 }  // namespace
@@ -92,18 +124,25 @@ FragmentStore& FragmentStore::operator=(FragmentStore&& other) noexcept {
   return *this;
 }
 
-void FragmentStore::PutView(int32_t view_id,
-                            std::vector<Fragment> fragments) {
-  SortByRoot(&fragments);
-  views_[view_id] =
-      std::make_shared<const std::vector<Fragment>>(std::move(fragments));
+Status FragmentStore::PutView(int32_t view_id,
+                              std::vector<Fragment> fragments,
+                              const Fst& fst) {
+  Result<StoredView> view = BuildStoredView(std::move(fragments), fst);
+  XVR_RETURN_IF_ERROR(view.status());
+  views_[view_id] = std::make_shared<const StoredView>(std::move(view).value());
   MutexLock lock(&byte_size_mu_);
   byte_size_memo_.erase(view_id);
+  return Status::Ok();
+}
+
+const StoredView* FragmentStore::GetStoredView(int32_t view_id) const {
+  auto it = views_.find(view_id);
+  return it == views_.end() ? nullptr : it->second.get();
 }
 
 const std::vector<Fragment>* FragmentStore::GetView(int32_t view_id) const {
-  auto it = views_.find(view_id);
-  return it == views_.end() ? nullptr : it->second.get();
+  const StoredView* view = GetStoredView(view_id);
+  return view == nullptr ? nullptr : &view->fragments;
 }
 
 bool FragmentStore::HasView(int32_t view_id) const {
@@ -164,7 +203,7 @@ Status FragmentStore::SaveTo(KvStore* kv) const {
   // Sorted view order: the KvStore orders keys anyway, but inserting
   // deterministically keeps the save path reproducible across platforms.
   for (const int32_t view_id : view_ids()) {
-    const std::vector<Fragment>& fragments = *views_.at(view_id);
+    const std::vector<Fragment>& fragments = views_.at(view_id)->fragments;
     kv->DeletePrefix(ViewPrefix(view_id));
     for (size_t i = 0; i < fragments.size(); ++i) {
       kv->Put(FragmentKey(view_id, i), fragments[i].Serialize());
@@ -173,26 +212,27 @@ Status FragmentStore::SaveTo(KvStore* kv) const {
   return Status::Ok();
 }
 
-Status FragmentStore::LoadFrom(const KvStore& kv) {
-  return LoadFromImpl(kv, /*quarantined=*/nullptr);
+Status FragmentStore::LoadFrom(const KvStore& kv, const Fst& fst) {
+  return LoadFromImpl(kv, fst, /*quarantined=*/nullptr);
 }
 
-Status FragmentStore::LoadFrom(const KvStore& kv,
+Status FragmentStore::LoadFrom(const KvStore& kv, const Fst& fst,
                                std::vector<int32_t>* quarantined) {
   XVR_CHECK(quarantined != nullptr);
   quarantined->clear();
-  return LoadFromImpl(kv, quarantined);
+  return LoadFromImpl(kv, fst, quarantined);
 }
 
-Status FragmentStore::LoadFromImpl(const KvStore& kv,
+Status FragmentStore::LoadFromImpl(const KvStore& kv, const Fst& fst,
                                    std::vector<int32_t>* quarantined) {
   views_.clear();
   {
     MutexLock lock(&byte_size_mu_);
     byte_size_memo_.clear();
   }
-  // Accumulated per view, then installed as shared immutable vectors.
-  std::unordered_map<int32_t, std::vector<Fragment>> loading;
+  // Accumulated per view, then installed as shared immutable views (in id
+  // order, so a failing load reports the same view every time).
+  std::map<int32_t, std::vector<Fragment>> loading;
   // Views already seen to be corrupt; later fragments of the same view are
   // skipped without re-reporting.
   std::unordered_set<int32_t> bad_views;
@@ -236,16 +276,25 @@ Status FragmentStore::LoadFromImpl(const KvStore& kv,
     loading[view_id].push_back(std::move(fragment).value());
     return true;
   });
+  for (auto& [view_id, fragments] : loading) {
+    Result<StoredView> view = BuildStoredView(std::move(fragments), fst);
+    if (!view.ok()) {
+      if (quarantined != nullptr) {
+        XVR_LOG(WARNING) << "quarantining view " << view_id << ": "
+                         << view.status().message();
+        quarantined->push_back(view_id);
+        continue;
+      }
+      if (status.ok()) {
+        status = view.status();
+      }
+      continue;
+    }
+    views_[view_id] =
+        std::make_shared<const StoredView>(std::move(view).value());
+  }
   if (quarantined != nullptr) {
     std::sort(quarantined->begin(), quarantined->end());
-  }
-  // Keys scan in order, so per-view fragments are already Dewey-sorted only
-  // if sequence order matched; re-sort to be safe. Per-view work, order of
-  // iteration does not reach the output.  // lint:ordered-ok
-  for (auto& [view_id, fragments] : loading) {
-    SortByRoot(&fragments);
-    views_[view_id] =
-        std::make_shared<const std::vector<Fragment>>(std::move(fragments));
   }
   return status;
 }

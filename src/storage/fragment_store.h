@@ -5,12 +5,22 @@
 // of the fragment root (document order), and offers persistence through the
 // KvStore substrate.
 //
+// Installing a view (PutView, LoadFrom) also builds its root-path group
+// index: the distinct root label paths of its fragments, decoded once
+// through the document FST, and each fragment's group id. A view's
+// fragments sit under only a handful of distinct root label paths, so the
+// rewriter matches Q's anchor path once per group instead of decoding and
+// matching every fragment on every query. Install is also where the
+// index's soundness guard runs: a fragment whose root code does not decode,
+// or decodes to a label other than its stored root label, is refused.
+//
 // Thread-safety: a FragmentStore embedded in a published CatalogSnapshot is
 // immutable — mutations (PutView/RemoveView/LoadFrom) only ever run on the
 // writer's private successor copy, never on a store readers can see
-// (src/core/catalog.h). Copies are cheap: the per-view fragment vectors are
-// immutable once installed and shared between copies, so a snapshot copy is
-// O(#views) shared_ptr bookkeeping, not a fragment deep copy. The only
+// (src/core/catalog.h). Copies are cheap: the per-view fragment vectors and
+// their group indexes are immutable once installed and shared between
+// copies, so a snapshot copy is O(#views) shared_ptr bookkeeping, not a
+// fragment deep copy. The only
 // state mutated through a const store is the per-view byte-size memo
 // (ViewByteSize is called during planning by the HB strategy), which is
 // internally synchronized and annotated for the thread-safety analysis.
@@ -24,8 +34,20 @@
 #include "common/thread_annotations.h"
 #include "storage/fragment.h"
 #include "storage/kv_store.h"
+#include "xml/fst.h"
+#include "xml/label_dict.h"
 
 namespace xvr {
+
+// One installed view, immutable once installed: its fragments, sorted by
+// root code, and their root-path group index — the distinct root label
+// paths decoded from the fragment root codes (in order of first
+// appearance) and each fragment's group id, parallel to `fragments`.
+struct StoredView {
+  std::vector<Fragment> fragments;
+  std::vector<std::vector<LabelId>> root_paths;
+  std::vector<uint32_t> group_of;
+};
 
 class FragmentStore {
  public:
@@ -40,14 +62,20 @@ class FragmentStore {
   FragmentStore& operator=(FragmentStore&& other) noexcept;
 
   // Installs the fragments of `view_id` (replacing any previous ones).
-  // Fragments are sorted by root code internally. Stores sharing a fragment
-  // vector with this one are unaffected (the old vector stays alive for
-  // them).
-  void PutView(int32_t view_id, std::vector<Fragment> fragments);
+  // Fragments are sorted by root code and grouped by root label path under
+  // `fst`, the transducer of the document they were materialized from.
+  // Stores sharing a fragment vector with this one are unaffected (the old
+  // vector stays alive for them). A fragment that fails the group index's
+  // guard (see above) is an Internal error and installs nothing.
+  [[nodiscard]] Status PutView(int32_t view_id,
+                               std::vector<Fragment> fragments,
+                               const Fst& fst);
 
   // nullptr when the view is not materialized. The pointee is immutable and
   // lives as long as any store sharing it — for snapshot readers, at least
   // as long as the pinned snapshot.
+  const StoredView* GetStoredView(int32_t view_id) const;
+  // The stored view's fragments alone.
   const std::vector<Fragment>* GetView(int32_t view_id) const;
 
   bool HasView(int32_t view_id) const;
@@ -66,23 +94,27 @@ class FragmentStore {
   std::vector<int32_t> view_ids() const;
 
   // Persistence: keys are "frag/<view_id>/<seq>"; the image round-trips.
+  // Loading installs every view as PutView does, against `fst`.
   Status SaveTo(KvStore* kv) const;
-  Status LoadFrom(const KvStore& kv);
+  Status LoadFrom(const KvStore& kv, const Fst& fst);
 
-  // Fault-tolerant load: a view with any corrupt fragment is *quarantined*
-  // — none of its fragments are installed, its id is appended to
-  // `quarantined` (sorted, deduplicated), and loading continues with the
-  // remaining views instead of failing the whole store. Unattributable
-  // garbage under the "frag/" prefix (malformed keys) is skipped the same
-  // way. `quarantined` must be non-null.
-  Status LoadFrom(const KvStore& kv, std::vector<int32_t>* quarantined);
+  // Fault-tolerant load: a view with any corrupt fragment, or any fragment
+  // failing the group index's guard, is *quarantined* — none of its
+  // fragments are installed, its id is appended to `quarantined` (sorted,
+  // deduplicated), and loading continues with the remaining views instead
+  // of failing the whole store. Unattributable garbage under the "frag/"
+  // prefix (malformed keys) is skipped the same way. `quarantined` must be
+  // non-null.
+  Status LoadFrom(const KvStore& kv, const Fst& fst,
+                  std::vector<int32_t>* quarantined);
 
  private:
-  using FragmentsRef = std::shared_ptr<const std::vector<Fragment>>;
+  using StoredViewRef = std::shared_ptr<const StoredView>;
 
-  Status LoadFromImpl(const KvStore& kv, std::vector<int32_t>* quarantined);
+  Status LoadFromImpl(const KvStore& kv, const Fst& fst,
+                      std::vector<int32_t>* quarantined);
 
-  std::unordered_map<int32_t, FragmentsRef> views_;
+  std::unordered_map<int32_t, StoredViewRef> views_;
   // view_id -> serialized size of its fragments, filled on first use.
   mutable Mutex byte_size_mu_;
   mutable std::unordered_map<int32_t, size_t> byte_size_memo_

@@ -388,6 +388,28 @@ TEST(CertifyRejectTest, WeakenedRefinementSubtree) {
   EXPECT_TRUE(HasFinding(cert, "compensation")) << cert.Summary();
 }
 
+TEST(CertifyRejectTest, ForgedIdentityRefinementFlag) {
+  // Anchored at the leaf name, the refinement is the anchor alone: the
+  // planner sets the flag and the rewriter skips the anchored walk.
+  PlanFixture leaf = MakePlan({kStructView}, kStructQuery);
+  ASSERT_TRUE(leaf.ok);
+  ASSERT_TRUE(leaf.plan.compensation.views[0].identity_refinement);
+  leaf.plan.compensation.views[0].identity_refinement = false;
+  Certificate cert = Certify(leaf);
+  EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
+  EXPECT_TRUE(HasFinding(cert, "compensation")) << cert.Summary();
+
+  // Anchored at person, the refinement re-checks [profile/interest]/name;
+  // a forged flag would let every person fragment through unchecked.
+  PlanFixture subtree = MakePlan({"//person[profile/interest]"}, kStructQuery);
+  ASSERT_TRUE(subtree.ok);
+  ASSERT_FALSE(subtree.plan.compensation.views[0].identity_refinement);
+  subtree.plan.compensation.views[0].identity_refinement = true;
+  cert = Certify(subtree);
+  EXPECT_EQ(cert.verdict, CertifyVerdict::kRejected) << cert.Summary();
+  EXPECT_TRUE(HasFinding(cert, "compensation")) << cert.Summary();
+}
+
 TEST(CertifyRejectTest, SwappedExtractionPattern) {
   PlanFixture f = MakePlan({kStructView}, kStructQuery);
   ASSERT_TRUE(f.ok);

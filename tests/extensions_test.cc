@@ -207,7 +207,10 @@ class ContainedRewriteTest : public ::testing::Test {
       views_.push_back(Parse(views[i]));
       auto frags = MaterializeView(views_.back(), tree_);
       if (frags.ok()) {
-        store_.PutView(static_cast<int32_t>(i), std::move(frags).value());
+        EXPECT_TRUE(store_
+                        .PutView(static_cast<int32_t>(i),
+                                 std::move(frags).value(), *tree_.fst())
+                        .ok());
         ids.push_back(static_cast<int32_t>(i));
       }
     }
@@ -288,7 +291,8 @@ TEST_F(ContainedRewriteTest, SubsetPropertyOnXmark) {
     if (frags.ok()) {
       views_.push_back(std::move(v));
       const auto id = static_cast<int32_t>(views_.size() - 1);
-      store_.PutView(id, std::move(frags).value());
+      ASSERT_TRUE(
+          store_.PutView(id, std::move(frags).value(), *tree_.fst()).ok());
       ids.push_back(id);
     }
   }
@@ -496,7 +500,7 @@ TEST_F(PartialViewTest, MinimumSelectorRespectsPartiality) {
 }
 
 TEST_F(PartialViewTest, PersistenceKeepsPartialFlag) {
-  const std::string path = "/tmp/xvr_partial_state.bin";
+  const std::string path = UniqueTempPath("partial_state.bin");
   auto id = engine_.AddViewCodesOnly(Parse("/r/s/f"));
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(engine_.AddView(Parse("/r/s/p")).ok());
@@ -622,8 +626,8 @@ TEST(EngineExtensions, RedundantQueryBranchesMinimizedAway) {
 }
 
 TEST(EngineExtensions, LoadStateRejectsGarbage) {
-  EXPECT_FALSE(Engine::LoadState("/tmp/xvr_no_such_file.bin").ok());
-  const std::string path = "/tmp/xvr_garbage_state.bin";
+  EXPECT_FALSE(Engine::LoadState(UniqueTempPath("no_such_file.bin")).ok());
+  const std::string path = UniqueTempPath("garbage_state.bin");
   KvStore kv;
   kv.Put("unrelated", "stuff");
   ASSERT_TRUE(kv.SaveToFile(path).ok());

@@ -9,6 +9,7 @@
 #include "common/file_util.h"
 #include "common/status.h"
 #include "core/engine.h"
+#include "storage/fragment.h"
 #include "storage/kv_store.h"
 #include "xml/xml_parser.h"
 #include "test_util.h"
@@ -463,6 +464,41 @@ TEST_F(PersistenceFaultTest, V1FragmentImageQuarantinesItsView) {
   ASSERT_TRUE(pattern.ok());
   EXPECT_EQ(engine.view(0)->CanonicalKey(), pattern->CanonicalKey());
   ExpectAnswers(engine, "/r/t/u", 1);
+  ASSERT_TRUE(engine.AddView(*engine.view(0)).ok());
+  ExpectAnswers(engine, "/r/s/p", 2);
+}
+
+// A well-formed fragment whose root code does not decode under the
+// document FST fails the install-time guard of the root-path group index:
+// its view is quarantined at load instead of failing every query that
+// touches it.
+TEST_F(PersistenceFaultTest, UndecodableRootCodeQuarantinesItsView) {
+  MutateImage([](KvStore* kv) {
+    std::string victim;
+    std::string image;
+    kv->ScanPrefix("frag/0000000000/",
+                   [&](const std::string& key, const std::string& value) {
+                     victim = key;
+                     image = value;
+                     return false;
+                   });
+    ASSERT_FALSE(victim.empty());
+    auto fragment = Fragment::Deserialize(image);
+    ASSERT_TRUE(fragment.ok()) << fragment.status();
+    // Below p: p has no children, so the code has no label path.
+    std::vector<uint32_t> code = fragment->root_code().components();
+    code.push_back(0);
+    const std::string forged = WithRootCode(image, code);
+    ASSERT_TRUE(Fragment::Deserialize(forged).ok());
+    kv->Put(victim, forged);
+  });
+  auto loaded = Engine::LoadState(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  Engine& engine = **loaded;
+  EXPECT_EQ(engine.quarantined_view_ids(), std::vector<int32_t>{0});
+  EXPECT_EQ(engine.view_ids(), std::vector<int32_t>{1});
+  ExpectAnswers(engine, "/r/t/u", 1);
+  ASSERT_NE(engine.view(0), nullptr);
   ASSERT_TRUE(engine.AddView(*engine.view(0)).ok());
   ExpectAnswers(engine, "/r/s/p", 2);
 }

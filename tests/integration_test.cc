@@ -12,6 +12,7 @@
 #include "workload/workloads.h"
 #include "workload/xmark.h"
 #include "xml/xml_parser.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -95,7 +96,7 @@ TEST_F(PaperRunningExample, HeuristicUsesAtMostTwoViews) {
 }
 
 TEST(Integration, PersistenceRoundTripThroughKvStoreFile) {
-  const std::string path = "/tmp/xvr_integration_store.bin";
+  const std::string path = UniqueTempPath("integration_store.bin");
   XmarkOptions doc_options;
   doc_options.scale = 0.1;
 
@@ -119,16 +120,17 @@ TEST(Integration, PersistenceRoundTripThroughKvStoreFile) {
   }
 
   // Reload: the filter and the fragments survive the round trip; the same
-  // document (regenerated deterministically) gives the same FST.
+  // document (regenerated deterministically) gives the same FST, which the
+  // fragment load groups the fragment roots under.
+  XmlTree doc = GenerateXmark(doc_options);
   KvStore kv;
   ASSERT_TRUE(kv.LoadFromFile(path).ok());
   auto filter = DeserializeVFilter(*kv.Get("vfilter"));
   ASSERT_TRUE(filter.ok()) << filter.status();
   FragmentStore fragments;
-  ASSERT_TRUE(fragments.LoadFrom(kv).ok());
+  ASSERT_TRUE(fragments.LoadFrom(kv, *doc.fst()).ok());
   EXPECT_EQ(fragments.num_views(), 1u);
 
-  XmlTree doc = GenerateXmark(doc_options);
   auto query =
       ParseXPath("/site/closed_auctions/closed_auction/date", &doc.labels());
   ASSERT_TRUE(query.ok());

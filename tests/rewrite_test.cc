@@ -101,21 +101,22 @@ class RewriteTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << xpath << ": " << r.status();
     return std::move(r).value();
   }
-  // Materializes the views, selects a minimum set, rewrites, and returns
-  // the result codes.
+  // Materializes the views (with materialize_), selects a minimum set,
+  // rewrites, and returns the result codes.
   Result<std::vector<DeweyCode>> Answer(
       const std::string& query_xpath,
       const std::vector<std::string>& view_xpaths,
-      RewriteStats* stats = nullptr) {
+      RewriteStats* stats = nullptr, const RewriteOptions& options = {}) {
     views_.clear();
     store_ = FragmentStore();
     for (size_t i = 0; i < view_xpaths.size(); ++i) {
       views_.push_back(Parse(view_xpaths[i]));
-      auto frags = MaterializeView(views_.back(), tree_);
+      auto frags = MaterializeView(views_.back(), tree_, materialize_);
       if (!frags.ok()) {
         return frags.status();
       }
-      store_.PutView(static_cast<int32_t>(i), std::move(frags).value());
+      XVR_RETURN_IF_ERROR(store_.PutView(
+          static_cast<int32_t>(i), std::move(frags).value(), *tree_.fst()));
     }
     const TreePattern query = Parse(query_xpath);
     std::vector<int32_t> ids;
@@ -128,7 +129,7 @@ class RewriteTest : public ::testing::Test {
         SelectMinimum(query, ids, [this](int32_t id) {
           return &views_[static_cast<size_t>(id)];
         }));
-    return AnswerWithViews(query, selection, store_, *tree_.fst(), stats);
+    return AnswerWithViews(query, selection, store_, stats, options);
   }
   // Ground truth via direct evaluation.
   std::vector<DeweyCode> Direct(const std::string& query_xpath) {
@@ -143,6 +144,7 @@ class RewriteTest : public ::testing::Test {
   XmlTree tree_;
   std::vector<TreePattern> views_;
   FragmentStore store_;
+  MaterializeOptions materialize_;
 };
 
 TEST_F(RewriteTest, SingleEquivalentView) {
@@ -271,6 +273,104 @@ TEST_F(RewriteTest, StatsReported) {
   EXPECT_EQ(stats.fragments_scanned, 3u);  // 2 p's + 1 f
   EXPECT_GE(stats.fragments_after_refinement, 2u);
   EXPECT_EQ(stats.join_survivors, 1u);
+}
+
+// --- root-label-path grouping and refinement elision ----------------------
+//
+// The anchor path is matched once per distinct root label path of a view's
+// fragments; a refinement that is the anchor alone with no value predicate
+// is implied by that match and skips the anchored walk. These pin the
+// exact counters: grouping must not change what is scanned, kept or joined.
+
+TEST_F(RewriteTest, GroupsSpanSeveralRootPathsOneFailingTheAnchor) {
+  // //d fragments sit under three root label paths: r.a.d (three of
+  // them), r.b.d and r.c.x.d. /r/*/d matches the first two only.
+  Load("<r><a><d/><d/></a><b><d/></b><c><x><d/></x></c><a><d/></a></r>");
+  RewriteStats stats;
+  auto result = Answer("/r/*/d", {"//d"}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("/r/*/d"));
+  EXPECT_EQ(result->size(), 4u);
+  const StoredView* stored = store_.GetStoredView(0);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->root_paths.size(), 3u);
+  EXPECT_EQ(stored->group_of,
+            (std::vector<uint32_t>{0, 0, 1, 2, 0}));
+  EXPECT_EQ(stats.fragments_scanned, 5u);  // skipped groups still count
+  EXPECT_EQ(stats.fragments_after_refinement, 4u);
+  EXPECT_EQ(stats.join_survivors, 4u);
+}
+
+TEST_F(RewriteTest, ValuePredicateOnTheAnchorIsNotElided) {
+  // The refinement is the anchor alone, but it carries @k = 1: every d
+  // passes the anchor path, only two pass the predicate.
+  Load("<r><a><d k=\"1\"/><d k=\"2\"/></a><b><d k=\"1\"/></b>"
+       "<a><d/></a></r>");
+  RewriteStats stats;
+  auto result = Answer("/r/*/d[@k = 1]", {"//d"}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("/r/*/d[@k = 1]"));
+  EXPECT_EQ(result->size(), 2u);
+  EXPECT_EQ(stats.fragments_scanned, 4u);
+  EXPECT_EQ(stats.fragments_after_refinement, 2u);
+  EXPECT_EQ(stats.join_survivors, 2u);
+}
+
+TEST_F(RewriteTest, MultiNodeRefinementFailsInsideSomeFragments) {
+  // All a's share one root label path; the refinement a[x/y] holds in the
+  // first and last only.
+  Load("<r><a><x><y/></x></a><a><x/></a><a><y/></a><a><x><y/></x></a>"
+       "<b><a><x><y/></x></a></b></r>");
+  RewriteStats stats;
+  auto result = Answer("/r/a[x/y]", {"//a"}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("/r/a[x/y]"));
+  EXPECT_EQ(result->size(), 2u);
+  EXPECT_EQ(stats.fragments_scanned, 5u);
+  EXPECT_EQ(stats.fragments_after_refinement, 2u);
+  EXPECT_EQ(stats.join_survivors, 2u);
+}
+
+TEST_F(RewriteTest, CodesOnlyViewsJoinOnGroupRows) {
+  // §VII partial materialization: fragments are their root node alone, so
+  // only a childless anchor (identity refinement) can use them.
+  Load("<r><s><p/><f/></s><s><p/></s><s><f/></s><t><s><p/><f/></s></t></r>");
+  materialize_.codes_only = true;
+  RewriteStats stats;
+  auto result = Answer("/r/s[f]/p", {"//s/p", "//s/f"}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(*result, Direct("/r/s[f]/p"));
+  EXPECT_EQ(result->size(), 1u);
+  EXPECT_EQ(stats.fragments_scanned, 6u);  // 3 p's + 3 f's
+  EXPECT_EQ(stats.fragments_after_refinement, 4u);  // not those under t
+  EXPECT_EQ(stats.join_survivors, 1u);
+}
+
+TEST_F(RewriteTest, AssignmentCapAppliesPerGroup) {
+  // Both c's share the root label path a.b.b.c, on which /a//b//c has two
+  // assignments (b at depth 1 or 2); x's path a.b.b.x pins b to depth 2.
+  // The join needs b at depth 2, which the depth-first enumeration reaches
+  // second — a cap of one assignment loses it for the whole group.
+  Load("<a><b><b><x/><c/><c/></b></b></a>");
+  const std::string query = "/a//b[x]//c";
+  const std::vector<std::string> views = {"//c", "//b/x"};
+  RewriteStats stats;
+  auto uncapped = Answer(query, views, &stats);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status();
+  EXPECT_EQ(*uncapped, Direct(query));
+  EXPECT_EQ(uncapped->size(), 2u);
+  EXPECT_EQ(stats.fragments_scanned, 3u);
+  EXPECT_EQ(stats.fragments_after_refinement, 3u);
+  EXPECT_EQ(stats.join_survivors, 2u);
+
+  RewriteOptions capped;
+  capped.max_assignments_per_fragment = 1;
+  auto lossy = Answer(query, views, &stats, capped);
+  ASSERT_TRUE(lossy.ok()) << lossy.status();
+  EXPECT_TRUE(lossy->empty());
+  EXPECT_EQ(stats.fragments_scanned, 3u);
+  EXPECT_EQ(stats.fragments_after_refinement, 3u);
+  EXPECT_EQ(stats.join_survivors, 0u);
 }
 
 TEST_F(RewriteTest, SkeletonConstruction) {

@@ -8,6 +8,7 @@
 #include "storage/kv_store.h"
 #include "storage/materializer.h"
 #include "xml/xml_parser.h"
+#include "test_util.h"
 
 namespace xvr {
 namespace {
@@ -71,7 +72,7 @@ TEST(KvStore, DeletePrefix) {
 }
 
 TEST(KvStore, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/xvr_kv_test.bin";
+  const std::string path = UniqueTempPath("kv_test.bin");
   KvStore kv;
   kv.Put("alpha", std::string(1000, 'a'));
   kv.Put("beta", "");
@@ -87,7 +88,7 @@ TEST(KvStore, SaveLoadRoundTrip) {
 }
 
 TEST(KvStore, LoadRejectsCorruption) {
-  const std::string path = "/tmp/xvr_kv_corrupt.bin";
+  const std::string path = UniqueTempPath("kv_corrupt.bin");
   KvStore kv;
   kv.Put("k", "value");
   ASSERT_TRUE(kv.SaveToFile(path).ok());
@@ -102,7 +103,7 @@ TEST(KvStore, LoadRejectsCorruption) {
   KvStore loaded;
   EXPECT_FALSE(loaded.LoadFromFile(path).ok());
   std::remove(path.c_str());
-  EXPECT_FALSE(loaded.LoadFromFile("/tmp/xvr_missing_file.bin").ok());
+  EXPECT_FALSE(loaded.LoadFromFile(UniqueTempPath("missing_file.bin")).ok());
 }
 
 class FragmentTest : public ::testing::Test {
@@ -225,10 +226,55 @@ TEST_F(FragmentTest, MaterializeView) {
   EXPECT_EQ(fragments->size(), 2u);  // both s's have t and p
   // Fragments sorted in document order by the store.
   FragmentStore store;
-  store.PutView(0, std::move(fragments).value());
+  ASSERT_TRUE(store.PutView(0, std::move(fragments).value(), *tree_.fst()).ok());
   const auto* frags = store.GetView(0);
   ASSERT_NE(frags, nullptr);
   EXPECT_TRUE((*frags)[0].root_code() < (*frags)[1].root_code());
+}
+
+TEST_F(FragmentTest, PutViewGroupsFragmentsByRootLabelPath) {
+  // //s/* has five fragments under three root label paths b.s.t, b.s.f
+  // and b.s.p, in code order t f p | t p.
+  auto fragments = MaterializeView(Parse("//s/*"), tree_);
+  ASSERT_TRUE(fragments.ok()) << fragments.status();
+  FragmentStore store;
+  ASSERT_TRUE(store.PutView(0, std::move(fragments).value(), *tree_.fst()).ok());
+  const StoredView* stored = store.GetStoredView(0);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(&stored->fragments, store.GetView(0));
+  EXPECT_EQ(stored->group_of, (std::vector<uint32_t>{0, 1, 2, 0, 2}));
+  const LabelDict& dict = tree_.labels();
+  ASSERT_EQ(stored->root_paths.size(), 3u);
+  EXPECT_EQ(stored->root_paths[1],
+            (std::vector<LabelId>{dict.Find("b"), dict.Find("s"),
+                                  dict.Find("f")}));
+  // A copy shares the installed view, index included.
+  const FragmentStore copy = store;
+  EXPECT_EQ(copy.GetStoredView(0), stored);
+}
+
+TEST_F(FragmentTest, PutViewRefusesARootCodeThatMissesItsLabel) {
+  auto fragments = MaterializeView(Parse("/b/s/p"), tree_);
+  ASSERT_TRUE(fragments.ok()) << fragments.status();
+  const std::string image = fragments->front().Serialize();
+  std::vector<uint32_t> code = fragments->front().root_code().components();
+  // Undecodable: the path continues below p, which has no children.
+  std::vector<uint32_t> below = code;
+  below.push_back(0);
+  // Decodable, but to p's sibling f instead of p itself.
+  std::vector<uint32_t> sibling = code;
+  sibling.back() = static_cast<uint32_t>(tree_.fst()->ChildIndex(
+      tree_.labels().Find("s"), tree_.labels().Find("f")));
+  for (const std::vector<uint32_t>& bad : {below, sibling}) {
+    auto forged = Fragment::Deserialize(WithRootCode(image, bad));
+    ASSERT_TRUE(forged.ok()) << forged.status();
+    std::vector<Fragment> view = *fragments;
+    view.front() = std::move(forged).value();
+    FragmentStore store;
+    const Status status = store.PutView(0, std::move(view), *tree_.fst());
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+    EXPECT_FALSE(store.HasView(0));
+  }
 }
 
 TEST_F(FragmentTest, MaterializeEmptyViewFails) {
@@ -249,8 +295,8 @@ TEST_F(FragmentTest, FragmentStorePersistence) {
   auto f2 = MaterializeView(Parse("//f"), tree_);
   ASSERT_TRUE(f1.ok());
   ASSERT_TRUE(f2.ok());
-  store.PutView(3, std::move(f1).value());
-  store.PutView(9, std::move(f2).value());
+  ASSERT_TRUE(store.PutView(3, std::move(f1).value(), *tree_.fst()).ok());
+  ASSERT_TRUE(store.PutView(9, std::move(f2).value(), *tree_.fst()).ok());
   EXPECT_TRUE(store.HasView(3));
   EXPECT_GT(store.ViewByteSize(3), 0u);
   EXPECT_EQ(store.ViewByteSize(42), 0u);
@@ -259,7 +305,7 @@ TEST_F(FragmentTest, FragmentStorePersistence) {
   KvStore kv;
   ASSERT_TRUE(store.SaveTo(&kv).ok());
   FragmentStore loaded;
-  ASSERT_TRUE(loaded.LoadFrom(kv).ok());
+  ASSERT_TRUE(loaded.LoadFrom(kv, *tree_.fst()).ok());
   EXPECT_EQ(loaded.num_views(), 2u);
   ASSERT_NE(loaded.GetView(3), nullptr);
   EXPECT_EQ(loaded.GetView(3)->size(), store.GetView(3)->size());

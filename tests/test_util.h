@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <vector>
 
 namespace xvr {
 
@@ -38,6 +41,28 @@ inline std::string UniqueTempPath(const std::string& name) {
     }
   }
   return path + tag;
+}
+
+// A fragment image (FlatFragment::Serialize: marker, root code depth, root
+// code components, then the nodes) with its root code replaced by `code`:
+// a well-formed image whose root no longer matches its position, which no
+// framing check can catch.
+inline std::string WithRootCode(const std::string& image,
+                                const std::vector<uint32_t>& code) {
+  const auto put = [](uint32_t v, std::string* out) {
+    char buf[4];
+    std::memcpy(buf, &v, 4);
+    out->append(buf, 4);
+  };
+  uint32_t depth = 0;
+  std::memcpy(&depth, image.data() + 4, 4);
+  std::string out = image.substr(0, 4);
+  put(static_cast<uint32_t>(code.size()), &out);
+  for (const uint32_t c : code) {
+    put(c, &out);
+  }
+  out += image.substr(8 + 4 * static_cast<size_t>(depth));
+  return out;
 }
 
 }  // namespace xvr
